@@ -8,7 +8,7 @@ STATICCHECK_VERSION ?= 2025.1
 # go run pkg@version pattern as staticcheck).
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-shard race-online fault-smoke serve-smoke lint bench bench-smoke bench-scenarios bench-diff bench-baseline clean
+.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-shard race-online fault-smoke serve-smoke lint bench bench-smoke perfbench-smoke bench-scenarios bench-diff bench-baseline clean
 
 # Scenario-benchmark harness knobs (see DESIGN.md §4h). The glob selects
 # checked-in scenario directories; the baseline is the committed fallback the
@@ -164,6 +164,23 @@ bench:
 # execute check for the perf harness, not a measurement.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# perfbench-smoke checks the repository benchmark (perfbench/, a nested
+# module the root build, vet and `make check` never compile): gofmt, vet,
+# then a short run of every workload plus one traced run. Each run compares
+# every response bit for bit with the serial reference and exits 1 on a
+# mismatch, so an internal API or numerics change that breaks the benchmark
+# fails here. train-serve runs 10 s: below that some of its six rounds get
+# no training Step, and the empty slices' NaN latencies fail the report.
+perfbench-smoke:
+	@out=$$(gofmt -l perfbench); if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
+	cd perfbench && $(GO) vet ./...
+	bash perfbench/run.sh --workload mlp-serve --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload cnn-shard --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload train-serve --seed 1 --seconds 10 --trace 0
+	bash perfbench/run.sh --workload cnn-shard --seed 1 --seconds 2 --trace 1
 
 clean:
 	rm -f pipelayer-sim pipelayer-train pipelayer-bench pipelayer-serve BENCH_telemetry.json BENCH_fault.json BENCH_serve.json trace.json $(VET_FINDINGS)

@@ -253,13 +253,34 @@ func trainMachine(spec networks.Spec, inj *fault.Injector, reg *telemetry.Regist
 	return acc, test, nil
 }
 
+// Read limits of the HTTP API. A client that trickles its request line,
+// headers or body must not hold a connection and a goroutine forever.
+const (
+	// maxReadHeader bounds the request line and headers.
+	maxReadHeader = 5 * time.Second
+	// defaultReadTimeout bounds the whole request read when -timeout is 0.
+	defaultReadTimeout = 30 * time.Second
+)
+
+// newHTTPServer builds the server both serving modes listen on. The whole
+// request must arrive within the per-request deadline (-timeout), or within
+// defaultReadTimeout when there is none; the headers within maxReadHeader
+// or that deadline, whichever is shorter.
+func newHTTPServer(addr string, h http.Handler, timeout time.Duration) *http.Server {
+	read := timeout
+	if read <= 0 {
+		read = defaultReadTimeout
+	}
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: min(maxReadHeader, read), ReadTimeout: read}
+}
+
 // listen serves the HTTP API until SIGINT/SIGTERM, then drains.
 func listen(acc *core.Accelerator, cfg serve.Config, addr string, timeout time.Duration) error {
 	s, err := serve.New(acc, cfg)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: addr, Handler: s.Handler(timeout)}
+	srv := newHTTPServer(addr, s.Handler(timeout), timeout)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("serving   : http://%s/predict (healthz at /healthz), %d-element inputs\n", addr, s.InputSize())

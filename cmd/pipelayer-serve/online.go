@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -72,7 +71,7 @@ func runOnline(spec networks.Spec, serveCfg serve.Config, of onlineFlags, tc tra
 	}
 
 	s := sup.Server()
-	srv := &http.Server{Addr: addr, Handler: s.Handler(timeout)}
+	srv := newHTTPServer(addr, s.Handler(timeout), timeout)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("serving   : http://%s/predict (healthz at /healthz), %d-element inputs, online training on\n",

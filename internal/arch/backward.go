@@ -36,21 +36,25 @@ func MaxPoolBackward(delta, dPrev *tensor.Tensor, k int) *tensor.Tensor {
 		panic("arch: MaxPoolBackward shapes inconsistent")
 	}
 	out := tensor.New(c, ih, iw)
+	pd, dd, od := dPrev.Data(), delta.Data(), out.Data()
 	// Channels scatter into disjoint planes of out, so they chunk safely.
 	parallel.Default().For(c, parallel.Grain(oh*ow*k*k), func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
+			plane := ci * ih * iw
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					bestY, bestX := oy*k, ox*k
-					best := dPrev.At(ci, bestY, bestX)
+					// The first maximum in row-major window order wins a tie.
+					best := plane + oy*k*iw + ox*k
+					bv := pd[best]
 					for ky := 0; ky < k; ky++ {
+						row := plane + (oy*k+ky)*iw + ox*k
 						for kx := 0; kx < k; kx++ {
-							if v := dPrev.At(ci, oy*k+ky, ox*k+kx); v > best {
-								best, bestY, bestX = v, oy*k+ky, ox*k+kx
+							if v := pd[row+kx]; v > bv {
+								best, bv = row+kx, v
 							}
 						}
 					}
-					out.Set(delta.At(ci, oy, ox), ci, bestY, bestX)
+					od[best] = dd[(ci*oh+oy)*ow+ox]
 				}
 			}
 		}
@@ -105,22 +109,31 @@ func ConvDerivative(dPrev, delta *tensor.Tensor, k, pad int) *tensor.Tensor {
 	outC := delta.Dim(0)
 	oh, ow := delta.Dim(1), delta.Dim(2)
 	x := tensor.Pad2D(dPrev, pad)
+	ph, pw := x.Dim(1), x.Dim(2)
+	if delta.Rank() != 3 || ph < oh+k-1 || pw < ow+k-1 {
+		panic("arch: ConvDerivative shapes inconsistent")
+	}
+	xd, dd := x.Data(), delta.Data()
 	dW := tensor.New(outC, inC, k, k)
+	wd := dW.Data()
 	// Each output-channel plane of ∂W is independent (its own error channel
 	// correlated against every input channel), so outC is the parallel unit;
 	// every (o,c,ky,kx) reduction keeps its serial y/x accumulation order.
 	parallel.Default().For(outC, parallel.Grain(inC*k*k*oh*ow), func(lo, hi int) {
 		for o := lo; o < hi; o++ {
+			dplane := dd[o*oh*ow : (o+1)*oh*ow]
 			for c := 0; c < inC; c++ {
+				xplane := xd[c*ph*pw : (c+1)*ph*pw]
 				for ky := 0; ky < k; ky++ {
 					for kx := 0; kx < k; kx++ {
 						s := 0.0
 						for y := 0; y < oh; y++ {
-							for xx := 0; xx < ow; xx++ {
-								s += x.At(c, y+ky, xx+kx) * delta.At(o, y, xx)
+							xrow := xplane[(y+ky)*pw+kx : (y+ky)*pw+kx+ow]
+							for xx, dv := range dplane[y*ow : (y+1)*ow] {
+								s += xrow[xx] * dv
 							}
 						}
-						dW.Set(s, o, c, ky, kx)
+						wd[((o*inC+c)*k+ky)*k+kx] = s
 					}
 				}
 			}

@@ -114,6 +114,9 @@ func (a *Accelerator) WeightLoad(net *nn.Network, rng *rand.Rand) error {
 		if rng == nil {
 			return errors.New("core: initial Weight_load requires a random source")
 		}
+		if err := a.spec.ValidateTrainable(); err != nil {
+			return err
+		}
 		net = networks.BuildTrainable(a.spec, rng)
 	}
 	engines, err := buildEngines(net, a.model.SpikeBits, a.faults)
@@ -314,10 +317,10 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 				ft := a.flight.Now()
 				if tel != nil {
 					tm := tel[i].backward.Start()
-					delta = a.engines[i].backward(delta)
+					delta = a.backward(i, delta)
 					tm.Stop()
 				} else {
-					delta = a.engines[i].backward(delta)
+					delta = a.backward(i, delta)
 				}
 				a.flight.Record("core_stage_backward", a.flightImage, flightTrainTrackBase+uint64(i), ft, int64(i))
 			}
@@ -356,6 +359,22 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 		Energy:   a.model.TrainingEnergy(a.spec, a.plans, n, batch, a.pipelined),
 	}
 	return rep, nil
+}
+
+// backward is the serial executor's backward through stage i: mask the raw
+// error with f′ of the buffered output, accumulate the stage's partial
+// derivatives from the buffered input, and return the raw upstream error.
+// Stage 0's upstream error has no consumer, so the first stage only
+// accumulates — the pipelined schedule's opGradFirst — and returns nil.
+func (a *Accelerator) backward(i int, raw *tensor.Tensor) *tensor.Tensor {
+	e := a.engines[i]
+	in, out := e.buffered()
+	d := e.maskError(raw, out)
+	if i == 0 {
+		e.derivative(d, in)
+		return nil
+	}
+	return errorBackward(e, d, in)
 }
 
 // Plans returns the active mapping plans (nil before Topology_set).

@@ -260,3 +260,19 @@ func TestWeightLoadPretrained(t *testing.T) {
 		t.Fatalf("pretrained analog accuracy %.3f far below float %.3f", rep.Accuracy, net.Accuracy(test))
 	}
 }
+
+// TestWeightLoadRejectsUntrainableSpec: a cold-start Weight_load on a spec
+// the trainer cannot build — no layers, or AlexNet's overlapping pools,
+// both of which Topology_set accepts — returns an error instead of
+// panicking inside the network builder.
+func TestWeightLoadRejectsUntrainableSpec(t *testing.T) {
+	for _, spec := range []networks.Spec{{}, networks.AlexNet()} {
+		a := newAccel()
+		if err := a.TopologySet(spec, 1); err != nil {
+			t.Fatalf("%q: Topology_set: %v", spec.Name, err)
+		}
+		if err := a.WeightLoad(nil, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("%q: cold-start Weight_load succeeded, want an error", spec.Name)
+		}
+	}
+}

@@ -17,20 +17,24 @@ import (
 //
 // The backward path is split the way the hardware splits it (Section 4.3):
 // maskError is the activation component ANDing a raw error with this
-// stage's f′ (computed from its buffered output d_l), and errorBackward is
-// the error-array pass Wᵀδ that also accumulates this stage's partial
-// derivatives from the buffered input d_{l-1}. The stateful backward —
-// used by the sequential executor — is exactly
-// errorBackward(maskError(δ, lastOut), lastIn).
+// stage's f′ (computed from its buffered output d_l), derivative
+// accumulates this stage's partial derivatives from δ and the buffered
+// input d_{l-1} (Figure 12), and propagate is the error-array pass Wᵀδ
+// (Figure 11). errorBackward composes the last two; the first stage runs
+// derivative alone, since nothing consumes its upstream error.
 type layerEngine interface {
 	forward(x *tensor.Tensor) *tensor.Tensor
-	backward(delta *tensor.Tensor) *tensor.Tensor
+	// buffered returns the stage's input and output saved by the last
+	// forward — the d_{l-1} and d_l the serial executor's backward reads.
+	buffered() (in, out *tensor.Tensor)
 	// maskError applies this stage's activation derivative to a raw error,
 	// using the buffered stage output.
 	maskError(raw, output *tensor.Tensor) *tensor.Tensor
-	// errorBackward accumulates this stage's gradients from (δ, buffered
-	// input) and returns the raw upstream error Wᵀδ.
-	errorBackward(delta, input *tensor.Tensor) *tensor.Tensor
+	// derivative accumulates this stage's gradients from (δ, buffered input).
+	derivative(delta, input *tensor.Tensor)
+	// propagate returns the raw upstream error of δ: Wᵀδ through the error
+	// arrays, or for pooling δ routed to the buffered input's window maxima.
+	propagate(delta, input *tensor.Tensor) *tensor.Tensor
 	applyUpdate(lr float64, batch int, u *arch.UpdateUnit)
 	// weights returns the stage's master parameter tensors (empty for
 	// weight-free stages), for snapshotting and verification.
@@ -125,7 +129,6 @@ type denseEngine struct {
 
 	lastIn  *tensor.Tensor
 	lastOut *tensor.Tensor
-	inShape []int
 
 	inj          *fault.Injector
 	fwdID, bwdID uint64
@@ -184,7 +187,6 @@ func (e *denseEngine) withFlight(rec *flight.Recorder, track uint64) layerEngine
 }
 
 func (e *denseEngine) forward(x *tensor.Tensor) *tensor.Tensor {
-	e.inShape = x.Shape()
 	flat := x.Reshape(e.in)
 	e.lastIn = flat.Clone()
 	y := e.fwd.MatVec(flat)
@@ -201,10 +203,7 @@ func (e *denseEngine) forward(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-func (e *denseEngine) backward(delta *tensor.Tensor) *tensor.Tensor {
-	d := e.maskError(delta.Reshape(e.out), e.lastOut)
-	return e.errorBackward(d, e.lastIn).Reshape(e.inShape...)
-}
+func (e *denseEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, e.lastOut }
 
 func (e *denseEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
 	if !e.relu {
@@ -213,14 +212,26 @@ func (e *denseEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
 	return arch.ReluBackward(raw.Reshape(e.out), output.Reshape(e.out))
 }
 
-func (e *denseEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
+func (e *denseEngine) derivative(delta, input *tensor.Tensor) {
 	d := delta.Reshape(e.out)
-	in := input.Reshape(e.in)
-	// ∂W = δ·d_{l-1}ᵀ and ∂b = δ accumulate in the gradient buffers.
-	e.gradW.AddInPlace(tensor.Outer(d, in))
+	x := input.Reshape(e.in).Data()
+	// ∂W = δ·d_{l-1}ᵀ and ∂b = δ accumulate in the gradient buffers. The
+	// explicit conversion rounds each product before the add even where the
+	// compiler would fuse the two, so ∂W sums the same rounded products on
+	// every target.
+	g := e.gradW.Data()
+	for j, dj := range d.Data() {
+		row := g[j*e.in : (j+1)*e.in : (j+1)*e.in]
+		for i, xi := range x {
+			row[i] += float64(dj * xi)
+		}
+	}
 	e.gradB.AddInPlace(d)
-	// δ_{l-1} = Wᵀδ through the error array pair.
-	return e.bwd.MatVec(d)
+}
+
+// propagate computes δ_{l-1} = Wᵀδ through the error array pair.
+func (e *denseEngine) propagate(delta, _ *tensor.Tensor) *tensor.Tensor {
+	return e.bwd.MatVec(delta.Reshape(e.out))
 }
 
 func (e *denseEngine) applyUpdate(lr float64, batch int, u *arch.UpdateUnit) {
@@ -319,35 +330,17 @@ func (e *convEngine) withFlight(rec *flight.Recorder, track uint64) layerEngine 
 	return &c
 }
 
+// forward reads the whole Im2Col plane with one batched readout — the
+// serving path's forwardBatch body — and buffers d_{l-1} and d_l for the
+// backward pass.
 func (e *convEngine) forward(x *tensor.Tensor) *tensor.Tensor {
 	e.lastIn = x.Clone()
-	cols := tensor.Im2Col(x, e.k, e.k, e.stride, e.pad)
-	oh := tensor.ConvOutDim(e.inH, e.k, e.stride, e.pad)
-	ow := tensor.ConvOutDim(e.inW, e.k, e.stride, e.pad)
-	nwin := oh * ow
-	out := tensor.New(e.outC, oh, ow)
-	vec := tensor.New(cols.Dim(0))
-	for wdx := 0; wdx < nwin; wdx++ {
-		for i := 0; i < cols.Dim(0); i++ {
-			vec.Data()[i] = cols.At(i, wdx)
-		}
-		y := e.fwd.MatVec(vec)
-		for c := 0; c < e.outC; c++ {
-			v := y.At(c) + e.bias.At(c)
-			if e.relu && v < 0 {
-				v = 0
-			}
-			out.Data()[c*nwin+wdx] = v
-		}
-	}
+	out := e.forwardBatch([]*tensor.Tensor{x})[0]
 	e.lastOut = out.Clone()
 	return out
 }
 
-func (e *convEngine) backward(delta *tensor.Tensor) *tensor.Tensor {
-	d := e.maskError(delta, e.lastOut)
-	return e.errorBackward(d, e.lastIn)
-}
+func (e *convEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, e.lastOut }
 
 func (e *convEngine) outShape() (int, int) {
 	return tensor.ConvOutDim(e.inH, e.k, e.stride, e.pad), tensor.ConvOutDim(e.inW, e.k, e.stride, e.pad)
@@ -362,10 +355,9 @@ func (e *convEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
 	return arch.ReluBackward(r, output.Reshape(e.outC, oh, ow))
 }
 
-func (e *convEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
+func (e *convEngine) derivative(delta, input *tensor.Tensor) {
 	oh, ow := e.outShape()
 	d := delta.Reshape(e.outC, oh, ow)
-	in := input.Reshape(e.inC, e.inH, e.inW)
 	// ∂b and ∂W accumulate (Figure 12 — the buffered d acts as the kernel).
 	for c := 0; c < e.outC; c++ {
 		s := 0.0
@@ -375,26 +367,18 @@ func (e *convEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
 		}
 		e.gradB.Data()[c] += s
 	}
-	e.gradW.AddInPlace(arch.ConvDerivative(in, d, e.k, e.pad))
+	e.gradW.AddInPlace(arch.ConvDerivative(input.Reshape(e.inC, e.inH, e.inW), d, e.k, e.pad))
+}
 
-	// δ_{l-1} = conv2(δ, rot180(K), 'full') through the error arrays: the
-	// padded error's im2col columns drive the reordered-kernel array pair.
-	padded := tensor.Pad2D(d, e.k-1)
-	cols := tensor.Im2Col(padded, e.k, e.k, 1, 0)
-	fh := padded.Dim(1) - e.k + 1
-	fw := padded.Dim(2) - e.k + 1
-	nwin := fh * fw
-	full := tensor.New(e.inC, fh, fw)
-	vec := tensor.New(cols.Dim(0))
-	for wdx := 0; wdx < nwin; wdx++ {
-		for i := 0; i < cols.Dim(0); i++ {
-			vec.Data()[i] = cols.At(i, wdx)
-		}
-		y := e.bwd.MatVec(vec)
-		for c := 0; c < e.inC; c++ {
-			full.Data()[c*nwin+wdx] = y.At(c)
-		}
-	}
+// propagate computes δ_{l-1} = conv2(δ, rot180(K), 'full') through the error
+// arrays: the im2col columns of the error zero-padded by K−1 drive the
+// reordered-kernel array pair in one batched readout, and its (inC × windows)
+// result is already the full-correlation plane's (inC, fh, fw) layout.
+func (e *convEngine) propagate(delta, _ *tensor.Tensor) *tensor.Tensor {
+	oh, ow := e.outShape()
+	cols := tensor.Im2Col(delta.Reshape(e.outC, oh, ow), e.k, e.k, 1, e.k-1)
+	fh, fw := oh+e.k-1, ow+e.k-1
+	full := e.bwd.MatVecCols(cols).Reshape(e.inC, fh, fw)
 	if e.pad > 0 {
 		full = tensor.Crop2D(full, e.pad)
 	}
@@ -425,36 +409,44 @@ func (e *poolEngine) forward(x *tensor.Tensor) *tensor.Tensor {
 	return e.pool(x)
 }
 
+// pool takes each k×k window's first maximum in row-major scan order.
 func (e *poolEngine) pool(x *tensor.Tensor) *tensor.Tensor {
+	if x.Size() != e.inC*e.inH*e.inW {
+		panic(fmt.Sprintf("core: pool input %v for a (%d,%d,%d) stage", x.Shape(), e.inC, e.inH, e.inW))
+	}
 	oh, ow := e.inH/e.k, e.inW/e.k
 	out := tensor.New(e.inC, oh, ow)
+	xd, od := x.Data(), out.Data()
 	for c := 0; c < e.inC; c++ {
+		plane := xd[c*e.inH*e.inW : (c+1)*e.inH*e.inW]
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				best := x.At(c, oy*e.k, ox*e.k)
+				base := oy*e.k*e.inW + ox*e.k
+				best := plane[base]
 				for ky := 0; ky < e.k; ky++ {
-					for kx := 0; kx < e.k; kx++ {
-						if v := x.At(c, oy*e.k+ky, ox*e.k+kx); v > best {
+					row := plane[base+ky*e.inW : base+ky*e.inW+e.k]
+					for _, v := range row {
+						if v > best {
 							best = v
 						}
 					}
 				}
-				out.Set(best, c, oy, ox)
+				od[(c*oh+oy)*ow+ox] = best
 			}
 		}
 	}
 	return out
 }
 
-func (e *poolEngine) backward(delta *tensor.Tensor) *tensor.Tensor {
-	return e.errorBackward(delta, e.lastIn)
-}
+func (e *poolEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, nil }
 
 func (e *poolEngine) maskError(raw, _ *tensor.Tensor) *tensor.Tensor {
 	return raw.Reshape(e.inC, e.inH/e.k, e.inW/e.k)
 }
 
-func (e *poolEngine) errorBackward(delta, input *tensor.Tensor) *tensor.Tensor {
+func (e *poolEngine) derivative(_, _ *tensor.Tensor) {}
+
+func (e *poolEngine) propagate(delta, input *tensor.Tensor) *tensor.Tensor {
 	return arch.MaxPoolBackward(
 		delta.Reshape(e.inC, e.inH/e.k, e.inW/e.k),
 		input.Reshape(e.inC, e.inH, e.inW), e.k)
@@ -473,3 +465,10 @@ func (e *poolEngine) cloneForInference() layerEngine { c := *e; return &c }
 func (e *poolEngine) forwardCost() float64 { return float64(e.inC) * float64(e.inH) * float64(e.inW) }
 
 func (e *poolEngine) withFlight(*flight.Recorder, uint64) layerEngine { return e }
+
+// errorBackward is one stage's error-array pass: accumulate its partial
+// derivatives from (δ, buffered input), then return the raw upstream error.
+func errorBackward(e layerEngine, delta, input *tensor.Tensor) *tensor.Tensor {
+	e.derivative(delta, input)
+	return e.propagate(delta, input)
+}

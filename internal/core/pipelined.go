@@ -210,12 +210,13 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 				l := op.stage // producing δ_l from δ_{l+1}
 				delta := deltaRing[l+1].consume(op.image)
 				dl := dRing[l].consume(op.image) // final user of d_l
-				raw := a.engines[l].errorBackward(delta, dl)
+				raw := errorBackward(a.engines[l], delta, dl)
 				g := a.engines[l-1].maskError(raw, dl)
 				writes[oi] = append(writes[oi], pendingWrite{deltaRing[l], op.image, g})
 			case opGradFirst:
 				delta := deltaRing[1].consume(op.image)
-				a.engines[0].errorBackward(delta, samples[op.image].Input)
+				// Only ∂W: nothing upstream consumes the first stage's error.
+				a.engines[0].derivative(delta, samples[op.image].Input)
 			case opUpdate:
 				for i, e := range a.engines {
 					ut0 := a.flight.Now()

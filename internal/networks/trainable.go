@@ -8,13 +8,34 @@ import (
 	"pipelayer/internal/nn"
 )
 
+// ValidateTrainable reports whether BuildTrainable can assemble s: a valid
+// spec with at least one layer, whose pools all have window == stride. The
+// ImageNet networks' overlapping pools pass Validate — they are simulated,
+// not trained — so callers that build from a caller-supplied spec check
+// this first and return its error instead of letting BuildTrainable panic.
+func (s Spec) ValidateTrainable() error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if len(s.Layers) == 0 {
+		return fmt.Errorf("networks: %q has no layers", s.Name)
+	}
+	for _, l := range s.Layers {
+		if l.Kind == mapping.KindPool && l.K != l.Stride {
+			return fmt.Errorf("networks: %s: overlapping pool %q (window %d, stride %d) not supported in the trainable path", s.Name, l.Name, l.K, l.Stride)
+		}
+	}
+	return nil
+}
+
 // BuildTrainable assembles a runnable nn.Network from a geometry Spec:
 // every conv and hidden fc layer is followed by ReLU (the paper's default
 // activation), pooling layers become max pooling, and the final fc layer
 // feeds a softmax loss. Only non-overlapping pooling is supported (the
 // MNIST-scale networks; the ImageNet networks are simulated, not trained).
+// It panics on a spec ValidateTrainable rejects.
 func BuildTrainable(s Spec, rng *rand.Rand) *nn.Network {
-	if err := s.Validate(); err != nil {
+	if err := s.ValidateTrainable(); err != nil {
 		panic(err)
 	}
 	var layers []nn.Layer
@@ -37,9 +58,6 @@ func BuildTrainable(s Spec, rng *rand.Rand) *nn.Network {
 				nn.NewConv(l.Name, l.InC, l.InH, l.InW, l.OutC, l.K, l.Stride, l.Pad, rng),
 				activation(l))
 		case mapping.KindPool:
-			if l.K != l.Stride {
-				panic(fmt.Sprintf("networks: BuildTrainable: overlapping pool %q not supported in the trainable path", l.Name))
-			}
 			if l.Pool == mapping.PoolAvg {
 				layers = append(layers, nn.NewAvgPool(l.Name, l.InC, l.InH, l.InW, l.K))
 			} else {

@@ -225,6 +225,9 @@ func New(feed Feed, cfg Config) (*Supervisor, error) {
 	if len(cfg.Eval) == 0 {
 		return nil, errors.New("online: Config.Eval (held-out eval set) is required")
 	}
+	if err := cfg.Spec.ValidateTrainable(); err != nil {
+		return nil, fmt.Errorf("online: Config.Spec: %w", err)
+	}
 	cfg = cfg.withDefaults()
 
 	store, err := checkpoint.OpenStore(cfg.Dir)

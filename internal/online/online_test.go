@@ -487,3 +487,19 @@ func TestOnlineShardedSwapSurvives(t *testing.T) {
 	}
 	assertNoGoroutineLeaks(t, base)
 }
+
+// TestNewRejectsUntrainableSpec: a zero Spec and AlexNet's overlapping pools
+// are configuration errors, returned before any checkpoint is written.
+func TestNewRejectsUntrainableSpec(t *testing.T) {
+	for _, spec := range []networks.Spec{{}, networks.AlexNet()} {
+		cfg := testConfig(t)
+		cfg.Spec = spec
+		if s, err := New(NewSyntheticFeed(true, 3), cfg); err == nil {
+			s.Close()
+			t.Errorf("%q: New succeeded, want an error", spec.Name)
+		}
+		if entries, _ := os.ReadDir(cfg.Dir); len(entries) != 0 {
+			t.Errorf("%q: rejected config left %d entries in the checkpoint directory", spec.Name, len(entries))
+		}
+	}
+}
