@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pipelayer/internal/dataset"
+	"pipelayer/internal/fault"
 	"pipelayer/internal/networks"
 	"pipelayer/internal/nn"
 	"pipelayer/internal/reram"
@@ -241,6 +242,85 @@ func TestUpdateUnitMatchesFloatUpdate(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if math.Abs(w.At(i)-ideal.At(i)) > 3*step {
 			t.Fatalf("weight %d: hw %g vs ideal %g", i, w.At(i), ideal.At(i))
+		}
+	}
+}
+
+// TestUpdateMatchesApply: Update writes Apply's weights bit for bit,
+// returns their AbsMax and leaves the gradient zeroed, through the corners
+// too: signed zeros, saturating and non-finite gradients, and a NaN weight.
+func TestUpdateMatchesApply(t *testing.T) {
+	u := NewUpdateUnit(16)
+	w, g := randTensor(64, 1), randTensor(64, 2)
+	w.Data()[0], w.Data()[1], w.Data()[2] = 0, math.Copysign(0, -1), math.NaN()
+	g.Data()[3], g.Data()[4], g.Data()[5] = 1e9, -1e9, 1e300
+	g.Data()[6], g.Data()[7] = math.NaN(), math.Inf(-1)
+	for _, batch := range []int{1, 3, 8} {
+		want, got, consumed := w.Clone(), w.Clone(), g.Clone()
+		scale := 2 * w.AbsMax()
+		u.Apply(want, g, 0.1, batch, scale)
+		absMax := u.Update(got, consumed, 0.1, batch, scale)
+		for i, v := range got.Data() {
+			if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+				t.Fatalf("batch %d weight %d: Update %v, Apply %v", batch, i, v, want.Data()[i])
+			}
+		}
+		if absMax != want.AbsMax() {
+			t.Fatalf("batch %d: Update returned AbsMax %v, want %v", batch, absMax, want.AbsMax())
+		}
+		for i, v := range consumed.Data() {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("batch %d: gradient %d left at %v, want +0", batch, i, v)
+			}
+		}
+	}
+}
+
+// TestProgramKernelsMatchesProgram: one ProgramKernels call leaves a kernel
+// array pair as Program leaves the transposed kernel matrix and the
+// transposed reordered kernels, for dense (k = 1) and conv banks, on ideal
+// and faulty arrays.
+func TestProgramKernelsMatchesProgram(t *testing.T) {
+	for _, sh := range []struct{ outC, inC, k int }{{5, 7, 1}, {4, 3, 3}, {2, 1, 5}} {
+		n := sh.outC * sh.inC * sh.k * sh.k
+		w := randTensor(n, int64(n)).Reshape(sh.outC, sh.inC, sh.k, sh.k)
+		w.Data()[0] = 0
+		back := BackwardKernels(w).Reshape(sh.inC, sh.outC*sh.k*sh.k)
+		fRows, bRows := sh.inC*sh.k*sh.k, sh.outC*sh.k*sh.k
+		for _, faulty := range []bool{false, true} {
+			fwd, bwd := NewKernelArrays(w, w.AbsMax(), sh.k, 8)
+			wantF := NewQuantized(tensor.Transpose(w.Reshape(sh.outC, fRows)), fRows, sh.outC, 8)
+			wantB := NewQuantized(tensor.Transpose(back), bRows, sh.inC, 8)
+			if faulty {
+				cfg := fault.Config{Seed: 9, StuckOff: 0.02, StuckOn: 0.01, Spares: 1, Degrade: true, WriteFail: 0.05, Retries: 1}
+				inj, want := fault.MustNew(cfg), fault.MustNew(cfg)
+				fwd.AttachFaults(inj, 0)
+				bwd.AttachFaults(inj, 1)
+				wantF.AttachFaults(want, 0)
+				wantB.AttachFaults(want, 1)
+				ProgramKernels(fwd, bwd, w, w.AbsMax(), sh.k)
+				wantF.Program(tensor.Transpose(w.Reshape(sh.outC, fRows)))
+				wantB.Program(tensor.Transpose(back))
+				if inj.Counters() != want.Counters() {
+					t.Fatalf("%+v: fault counters %+v, want %+v", sh, inj.Counters(), want.Counters())
+				}
+			}
+			for _, p := range []struct{ got, want *Quantized }{{fwd, wantF}, {bwd, wantB}} {
+				if p.got.Scale() != p.want.Scale() {
+					t.Fatalf("%+v faulty=%v: scale %v, want %v", sh, faulty, p.got.Scale(), p.want.Scale())
+				}
+				for r := 0; r < p.got.Rows; r++ {
+					for c := 0; c < p.got.Cols; c++ {
+						if p.got.WeightCode(r, c) != p.want.WeightCode(r, c) {
+							t.Fatalf("%+v faulty=%v: code (%d,%d) %d, want %d", sh, faulty, r, c, p.got.WeightCode(r, c), p.want.WeightCode(r, c))
+						}
+					}
+				}
+				x := randTensor(p.got.Rows, 3)
+				if !tensor.Equal(p.got.MatVec(x), p.want.MatVec(x), 0) {
+					t.Fatalf("%+v faulty=%v: readouts differ", sh, faulty)
+				}
+			}
 		}
 	}
 }

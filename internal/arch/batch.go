@@ -30,6 +30,18 @@ import (
 // round-to-nearest accumulation never changes the stored value (the
 // accumulator starts at +0, and +0 + ±0 = +0).
 func (q *Quantized) MatVecCols(x *tensor.Tensor) *tensor.Tensor {
+	return q.matVecCols(x, false)
+}
+
+// MatVecColsConsume is MatVecCols for an input the caller discards, such as
+// a fresh Im2Col or PackCols tensor: it quantizes x's columns in place
+// instead of into a copy, so on return x holds their integer codes. The
+// result is bit-identical to MatVecCols(x).
+func (q *Quantized) MatVecColsConsume(x *tensor.Tensor) *tensor.Tensor {
+	return q.matVecCols(x, true)
+}
+
+func (q *Quantized) matVecCols(x *tensor.Tensor, consume bool) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(0) != q.Rows {
 		panic(fmt.Sprintf("arch: MatVecCols input is %v for %d rows (array is %dx%d)", x.Shape(), q.Rows, q.Rows, q.Cols))
 	}
@@ -44,11 +56,14 @@ func (q *Quantized) MatVecCols(x *tensor.Tensor) *tensor.Tensor {
 	// column-interleaved layout (xq[i*n+c] is row i of column c) so the
 	// readout's inner loop streams contiguously across columns. Both passes
 	// walk the input row-major — strided per-column scans would take a cache
-	// miss on nearly every element.
-	xq := make([]float64, q.Rows*n)
-	ks := make([]float64, n)
-	scales := make([]float64, n)
+	// miss on nearly every element. Each element's code depends only on the
+	// element and its column's scale, so xq may be x itself.
 	xd := x.Data()
+	xq := xd
+	if !consume {
+		xq = make([]float64, q.Rows*n)
+	}
+	scales := make([]float64, n)
 	for i := 0; i < q.Rows; i++ {
 		row := xd[i*n : (i+1)*n : (i+1)*n]
 		for c, v := range row {
@@ -57,27 +72,34 @@ func (q *Quantized) MatVecCols(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	for c, xScale := range scales {
-		if xScale != 0 {
-			ks[c] = xScale / maxIn * q.scale / math.MaxUint16
-		}
-	}
 	for i := 0; i < q.Rows; i++ {
 		row := xd[i*n : (i+1)*n : (i+1)*n]
 		dst := xq[i*n : (i+1)*n : (i+1)*n]
 		for c, v := range row {
+			// Both skips store +0, so an in-place x's −0 or a NaN in a zero
+			// column does not survive as a code.
 			if v == 0 {
-				continue // Round(0) is 0: the code stays zero without computing it
+				dst[c] = 0 // Round(0) is 0: the code is zero without computing it
+				continue
 			}
 			xScale := scales[c]
 			if xScale == 0 {
-				continue // zero column: codes stay zero, output stays zero, as in MatVec
+				dst[c] = 0 // zero column: codes stay zero, output stays zero, as in MatVec
+				continue
 			}
 			code := math.Round(math.Abs(v) / xScale * maxIn)
 			if v < 0 {
 				code = -code
 			}
 			dst[c] = code
+		}
+	}
+	// Each column's output scale replaces its input scale, which the
+	// quantization above was the last to read.
+	ks := scales
+	for c, xScale := range scales {
+		if xScale != 0 {
+			ks[c] = xScale / maxIn * q.scale / math.MaxUint16
 		}
 	}
 	f := q.faults
@@ -152,10 +174,12 @@ func (q *Quantized) MatVecCols(x *tensor.Tensor) *tensor.Tensor {
 // MatVec's sequential mul-then-add loop: math.FMA (one fused instruction per
 // term) and row tiling, which keeps a 16 KB slab of the quantized inputs
 // resident in L1 while every output column sweeps over it, instead of
-// streaming the whole input block from L2 once per output column.
+// streaming the whole input block from L2 once per output column. The sums
+// accumulate in od itself, whose rows lo..hi must hold +0 on entry, and are
+// scaled in place at the end.
 func readoutExact(codes, xq, ks, od []float64, rows, n, lo, hi int) {
 	const tile = 128 // rows per slab: 128 rows × 8 cols × 8 B = 8 KB of xq per c-block
-	acc := make([]float64, (hi-lo)*n)
+	acc := od[lo*n : hi*n]
 	for i0 := 0; i0 < rows; i0 += tile {
 		i1 := i0 + tile
 		if i1 > rows {
@@ -201,7 +225,7 @@ func readoutExact(codes, xq, ks, od []float64, rows, n, lo, hi int) {
 	}
 	for j := lo; j < hi; j++ {
 		for c := 0; c < n; c++ {
-			od[j*n+c] = acc[(j-lo)*n+c] * ks[c]
+			od[j*n+c] *= ks[c]
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -86,6 +87,64 @@ func TestMatVecColsFaultyBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMatVecColsConsumeBitIdentical: quantizing the input in place must give
+// MatVecCols' result bit for bit, on ideal and faulty arrays, including the
+// inputs whose codes the readout never computes: ±0 elements and a column
+// whose scale is zero despite a NaN in it. MatVecCols must leave its input
+// untouched.
+func TestMatVecColsConsumeBitIdentical(t *testing.T) {
+	const rows, cols, n = 24, 13, 9
+	x := tensor.New(rows, n)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < rows; i++ {
+		for c := 0; c < n; c++ {
+			var v float64
+			switch {
+			case c == 1: // all-zero column, signed zeros included
+				v = math.Copysign(0, float64(i%2)-0.5)
+			case c == 2 && i == 5: // zero scale: NaN never raises it
+				v = math.NaN()
+			case c == 2:
+				v = 0
+			case rng.Intn(4) == 0:
+				v = math.Copysign(0, rng.NormFloat64())
+			default:
+				v = rng.NormFloat64()
+			}
+			x.Set(v, i, c)
+		}
+	}
+	inj := fault.MustNew(fault.Config{Seed: 17, StuckOff: 0.002, StuckOn: 0.001, Drift: 0.05, Spares: 2, Degrade: true})
+	faulty := NewQuantized(randTensor(rows*cols, 21), rows, cols, 16)
+	faulty.AttachFaults(inj, 1)
+	faulty.Tick(1000)
+	for name, q := range map[string]*Quantized{
+		"ideal":  NewQuantized(randTensor(rows*cols, 11), rows, cols, 16),
+		"faulty": faulty,
+	} {
+		in := x.Clone()
+		want := q.MatVecCols(in)
+		if !sameBits(in.Data(), x.Data()) {
+			t.Fatalf("%s: MatVecCols modified its input", name)
+		}
+		if got := q.MatVecColsConsume(in); !sameBits(got.Data(), want.Data()) {
+			t.Fatalf("%s: MatVecColsConsume differs from MatVecCols", name)
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestMatVecColsWorkersDeterministic: the batched readout is bit-identical

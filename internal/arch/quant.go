@@ -52,9 +52,86 @@ func NewQuantized(w *tensor.Tensor, rows, cols, bits int) *Quantized {
 	if w.Size() != rows*cols {
 		panic(fmt.Sprintf("arch: weight tensor has %d elems for %dx%d", w.Size(), rows, cols))
 	}
-	q := &Quantized{Rows: rows, Cols: cols, Bits: bits, codes: make([]int32, rows*cols)}
+	q := newQuantized(rows, cols, bits)
 	q.Program(w)
 	return q
+}
+
+// newQuantized returns an unprogrammed rows×cols array.
+func newQuantized(rows, cols, bits int) *Quantized {
+	return &Quantized{Rows: rows, Cols: cols, Bits: bits, codes: make([]int32, rows*cols), colCodes: make([]float64, rows*cols)}
+}
+
+// NewKernelArrays creates and programs the two arrays a trainable layer
+// keeps for its kernel bank w of shape (outC, inC, k, k): the forward array
+// (inC·k·k rows × outC columns) and the error array (outC·k·k × inC) that
+// holds the reordered kernels (W)* of Figure 11. A dense layer's (out, in)
+// weight matrix is the k = 1 case, whose error array holds Wᵀ. absMax must
+// be w.AbsMax(). See ProgramKernels.
+func NewKernelArrays(w *tensor.Tensor, absMax float64, k, bits int) (fwd, bwd *Quantized) {
+	outC, inC := w.Dim(0), w.Dim(1)
+	fwd = newQuantized(inC*k*k, outC, bits)
+	bwd = newQuantized(outC*k*k, inC, bits)
+	ProgramKernels(fwd, bwd, w, absMax, k)
+	return fwd, bwd
+}
+
+// ProgramKernels rewrites a kernel array pair from NewKernelArrays with the
+// kernel bank w, whose AbsMax is absMax. It computes each weight's code once,
+// with Program's formula, and stores it in all four layouts: both arrays'
+// row-major codes and column-major mirrors. Then it refreshes the forward
+// array's fault model and then the error array's. The result is bit for bit
+// that of fwd.Program(Transpose(w as outC × inC·k·k)) followed by
+// bwd.Program(Transpose(BackwardKernels(w) as inC × outC·k·k)), including
+// wear, retries and remaps. It runs on the caller's goroutine.
+func ProgramKernels(fwd, bwd *Quantized, w *tensor.Tensor, absMax float64, k int) {
+	outC, inC, kk := fwd.Cols, bwd.Cols, k*k
+	if w.Size() != outC*inC*kk || fwd.Rows != inC*kk || bwd.Rows != outC*kk {
+		panic(fmt.Sprintf("arch: ProgramKernels: %d weights for a %dx%d forward and a %dx%d error array with k=%d",
+			w.Size(), fwd.Rows, fwd.Cols, bwd.Rows, bwd.Cols, k))
+	}
+	scale := absMax
+	if scale == 0 {
+		scale = 1
+	}
+	fwd.scale, bwd.scale = scale, scale
+	wd := w.Data()
+	fRows, bRows := fwd.Rows, bwd.Rows
+	// w viewed as an (outC × inC·k·k) matrix is the forward array's
+	// column-major mirror. Its row o, column (i, ky, kx) lands in the error
+	// array at row (o, k−1−ky, k−1−kx), column i, so the innermost loop runs
+	// along one error-array row.
+	for o := 0; o < outC; o++ {
+		row := wd[o*fRows : (o+1)*fRows]
+		fcol := fwd.colCodes[o*fRows : (o+1)*fRows]
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				br := (o*k+k-1-ky)*k + k - 1 - kx
+				brow := bwd.codes[br*inC : (br+1)*inC]
+				for i := range brow {
+					r := i*kk + ky*k + kx
+					v := row[r]
+					mag := math.Round(math.Abs(v) / scale * math.MaxUint16)
+					var c int32
+					if v >= 0 {
+						c = int32(mag)
+					} else {
+						c = -int32(mag)
+					}
+					fcol[r] = float64(c)
+					fwd.codes[r*outC+o] = c
+					brow[i] = c
+					bwd.colCodes[i*bRows+br] = float64(c)
+				}
+			}
+		}
+	}
+	if fwd.faults != nil {
+		fwd.faults.refresh(fwd)
+	}
+	if bwd.faults != nil {
+		bwd.faults.refresh(bwd)
+	}
 }
 
 // Program (re)writes the weights, refreshing the scale — the same code
@@ -64,9 +141,6 @@ func (q *Quantized) Program(w *tensor.Tensor) {
 	q.scale = w.AbsMax()
 	if q.scale == 0 {
 		q.scale = 1
-	}
-	if len(q.colCodes) != q.Rows*q.Cols {
-		q.colCodes = make([]float64, q.Rows*q.Cols)
 	}
 	for i, v := range w.Data() {
 		mag := math.Round(math.Abs(v) / q.scale * math.MaxUint16)

@@ -89,3 +89,56 @@ func (u *UpdateUnit) Apply(w, grad *tensor.Tensor, lr float64, batch int, scale 
 	}
 	return maxDev
 }
+
+// Update is the first of the trainer's two update passes (ProgramKernels is
+// the second): Apply's per-weight arithmetic in the same expression order,
+// without the parts that cannot change a bit. The segment read and the
+// write-back each compose a code back to itself (the exhaustive round-trip
+// test in internal/fixed), and no caller reads the deviation figure. It
+// writes the new weights into w and returns their AbsMax, the scale the
+// arrays are programmed with next; the weights equal Apply's bit for bit.
+// It consumes grad, leaving the buffer zeroed for the next batch.
+func (u *UpdateUnit) Update(w, grad *tensor.Tensor, lr float64, batch int, scale float64) float64 {
+	if w.Size() != grad.Size() {
+		panic("arch: UpdateUnit.Update size mismatch")
+	}
+	if scale <= 0 {
+		panic("arch: UpdateUnit.Update requires positive scale")
+	}
+	step := scale / math.MaxUint16
+	rate := lr * u.AverageFactor(batch) // Apply's lr * avg * g, left to right
+	wd, g := w.Data(), grad.Data()
+	// The averaged, scaled gradient codes go first, staged in grad: a loop
+	// of independent divisions and roundings overlaps better than one that
+	// carries both of a weight's dependency chains.
+	for i, gi := range g {
+		g[i] = math.Round(rate * gi / step)
+	}
+	absMax := 0.0
+	for i, old := range wd {
+		code := int(math.Round(math.Abs(old) / scale * math.MaxUint16))
+		if code > math.MaxUint16 {
+			code = math.MaxUint16
+		}
+		// Apply reads the code back through uint16 segments. That is the
+		// identity for a finite weight, and keeps a NaN weight's code (an
+		// out-of-range int) reading back as Apply's does.
+		code = int(uint16(code))
+		if old < 0 {
+			code = -code
+		}
+		code -= int(g[i])
+		g[i] = 0
+		if code > math.MaxUint16 {
+			code = math.MaxUint16
+		} else if code < -math.MaxUint16 {
+			code = -math.MaxUint16
+		}
+		nw := float64(code) * step
+		wd[i] = nw
+		if a := math.Abs(nw); a > absMax {
+			absMax = a
+		}
+	}
+	return absMax
+}

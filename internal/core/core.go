@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 
@@ -302,6 +303,9 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 	if len(samples) == 0 || len(samples)%batch != 0 {
 		return Report{}, fmt.Errorf("core: sample count %d must be a positive multiple of batch %d", len(samples), batch)
 	}
+	if err := a.checkSamples(samples); err != nil {
+		return Report{}, err
+	}
 	totalLoss := 0.0
 	classes := a.spec.Classes
 	tel := a.stageTelemetrySlice()
@@ -359,6 +363,38 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 		Energy:   a.model.TrainingEnergy(a.spec, a.plans, n, batch, a.pipelined),
 	}
 	return rep, nil
+}
+
+// checkSamples validates every training sample before any array is
+// touched, by the rule serve applies to requests: the input has the
+// network's element count (and the (C,H,W) shape a conv front stage reads),
+// every value is finite, and the label is a class index. A NaN would
+// otherwise pass the loss through ReLU's clamp, turn a whole ∂W column NaN
+// and saturate those weights in the update; a bad size or label panics.
+func (a *Accelerator) checkSamples(samples []nn.Sample) error {
+	c, h, w := a.spec.InC, a.spec.InH, a.spec.InW
+	_, conv := a.engines[0].(*convEngine)
+	for i, s := range samples {
+		x := s.Input
+		if x == nil {
+			return fmt.Errorf("core: sample %d has no input", i)
+		}
+		if x.Size() != c*h*w {
+			return fmt.Errorf("core: sample %d input has %d elements, want %d", i, x.Size(), c*h*w)
+		}
+		if conv && (x.Rank() != 3 || x.Dim(0) != c || x.Dim(1) != h || x.Dim(2) != w) {
+			return fmt.Errorf("core: sample %d input has shape %v, want [%d %d %d]", i, x.Shape(), c, h, w)
+		}
+		for j, v := range x.Data() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: sample %d input[%d] is not finite", i, j)
+			}
+		}
+		if s.Label < 0 || s.Label >= a.spec.Classes {
+			return fmt.Errorf("core: sample %d label %d is outside [0, %d)", i, s.Label, a.spec.Classes)
+		}
+	}
+	return nil
 }
 
 // backward is the serial executor's backward through stage i: mask the raw

@@ -1,14 +1,19 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pipelayer/internal/dataset"
 	"pipelayer/internal/energy"
 	"pipelayer/internal/mapping"
 	"pipelayer/internal/networks"
+	"pipelayer/internal/nn"
 	"pipelayer/internal/tensor"
+	"pipelayer/internal/testutil"
 )
 
 func newAccel() *Accelerator { return New(energy.DefaultModel()) }
@@ -190,6 +195,56 @@ func TestTrainValidatesBatch(t *testing.T) {
 	}
 	if _, err := a.Train(samples, 3, 0.1); err == nil {
 		t.Fatal("non-multiple sample count must fail")
+	}
+}
+
+// TestTrainRejectsBadSamples: a non-finite pixel, a mis-sized input or an
+// out-of-range label anywhere in the run is an error naming the sample, from
+// both executors, before any weight changes. Without the check a NaN pixel
+// trains silently into saturated weights, and the other two panic.
+func TestTrainRejectsBadSamples(t *testing.T) {
+	const bad = 11 // in the second batch: the first must not train either
+	corrupt := map[string]func(s *nn.Sample){
+		"nan":   func(s *nn.Sample) { s.Input.Data()[300] = math.NaN() },
+		"inf":   func(s *nn.Sample) { s.Input.Data()[300] = math.Inf(-1) },
+		"size":  func(s *nn.Sample) { s.Input = tensor.New(s.Input.Size() - 1) },
+		"label": func(s *nn.Sample) { s.Label = 10 },
+	}
+	for _, name := range []string{"nan", "inf", "size", "label"} {
+		for _, pipelined := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/pipelined=%v", name, pipelined), func(t *testing.T) {
+				a := loadedAccel(t, testutil.TinyMLP("bad-samples"), 77, nil)
+				samples := testutil.FlatSamples(16, 8)
+				samples[bad].Input = samples[bad].Input.Clone()
+				corrupt[name](&samples[bad])
+				before := a.WeightsSnapshot()
+				train := a.Train
+				if pipelined {
+					train = a.TrainPipelined
+				}
+				_, err := train(samples, 8, 0.1)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sample %d ", bad)) {
+					t.Fatalf("err = %v, want an error naming sample %d", err, bad)
+				}
+				for i, w := range a.WeightsSnapshot() {
+					if err := sameBits(w, before[i]); err != nil {
+						t.Fatalf("parameter %d changed: %v", i, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTrainRejectsFlatImageForConv: a conv front stage reads a (C,H,W)
+// image, so a flat input of the right size is refused rather than panicking
+// in Im2Col.
+func TestTrainRejectsFlatImageForConv(t *testing.T) {
+	a := loadedAccel(t, testutil.TinyDeepCNN("bad-shape"), 5, nil)
+	samples := testutil.ImageSamples(8, 9)
+	samples[3].Input = samples[3].Input.Reshape(samples[3].Input.Size())
+	if _, err := a.Train(samples, 8, 0.1); err == nil || !strings.Contains(err.Error(), "sample 3 ") {
+		t.Fatalf("err = %v, want an error naming sample 3", err)
 	}
 }
 

@@ -112,69 +112,95 @@ func buildEngines(net *nn.Network, bits int, inj *fault.Injector) ([]layerEngine
 	return engines, nil
 }
 
+// crossbars is what a weighted stage keeps for its arrays: the float master
+// kernel bank W of shape (outC, inC, k, k), its bias and gradient buffers,
+// and the forward and error-backward array pairs programmed from W (Section
+// 4.3). A dense stage's (out, in) matrix is the k = 1 case, whose error
+// arrays hold Wᵀ. The arrays are created once and reprogrammed in place
+// thereafter, so fault state (stuck maps, wear counters, remap tables, drift
+// age) persists across the per-batch updates exactly as physical silicon
+// would.
+type crossbars struct {
+	k    int
+	w    *tensor.Tensor // float master copy (host shadow of the arrays)
+	bias *tensor.Tensor
+	fwd  *arch.Quantized // rows=inC·k·k, cols=outC
+	bwd  *arch.Quantized // rows=outC·k·k, cols=inC (reordered kernels)
+	// absMax is w.AbsMax(). Only construction and applyUpdate write the
+	// master, and both set it, so an update reads its scale here instead of
+	// rescanning W.
+	absMax float64
+
+	gradW *tensor.Tensor
+	gradB *tensor.Tensor
+
+	inj *fault.Injector
+}
+
+// newCrossbars copies a layer's parameters into a stage's masters and
+// programs its arrays. A non-nil injector wires the fault model into both:
+// weighted stage s owns array ids 2s (forward) and 2s+1 (error-backward).
+func newCrossbars(w, bias *tensor.Tensor, k, bits int, inj *fault.Injector, stage uint64) crossbars {
+	c := crossbars{
+		k: k, w: w.Clone(), bias: bias.Clone(),
+		gradW: tensor.New(w.Shape()...), gradB: tensor.New(bias.Shape()...),
+		inj: inj,
+	}
+	c.absMax = c.w.AbsMax()
+	c.fwd, c.bwd = arch.NewKernelArrays(c.w, c.absMax, k, bits)
+	if inj != nil {
+		c.fwd.AttachFaults(inj, 2*stage)
+		c.bwd.AttachFaults(inj, 2*stage+1)
+	}
+	return c
+}
+
+func (c *crossbars) tick(n int64) {
+	if c.inj != nil {
+		c.fwd.Tick(n)
+		c.bwd.Tick(n)
+	}
+}
+
+// reprogram rewrites both array pairs from the unchanged masters.
+func (c *crossbars) reprogram() { arch.ProgramKernels(c.fwd, c.bwd, c.w, c.absMax, c.k) }
+
+func (c *crossbars) weights() []*tensor.Tensor { return []*tensor.Tensor{c.w, c.bias} }
+
+// applyUpdate is the Section 4.4 read–modify–write in two passes over the
+// master, both on the caller's goroutine: Update writes the new weights,
+// clears ∂W and returns the weights' AbsMax, and ProgramKernels computes
+// each weight's code once and writes every array layout. Bias registers
+// update digitally (the paper keeps bias in the extra word line; the
+// averaged gradient applies the same way).
+func (c *crossbars) applyUpdate(lr float64, batch int, u *arch.UpdateUnit) {
+	scale := c.absMax * 2
+	if scale == 0 {
+		scale = 1
+	}
+	c.absMax = u.Update(c.w, c.gradW, lr, batch, scale)
+	c.bias.AxpyInPlace(-lr/float64(batch), c.gradB)
+	c.gradB.Zero()
+	arch.ProgramKernels(c.fwd, c.bwd, c.w, c.absMax, c.k)
+}
+
 // denseEngine is an inner-product stage: a forward array pair (in×out) and
 // an error-backward array pair holding Wᵀ (out×in), per Section 4.3.
 type denseEngine struct {
 	in, out int
 	relu    bool
-	bits    int
-
-	w    *tensor.Tensor // float master copy (host shadow of the arrays)
-	bias *tensor.Tensor
-	fwd  *arch.Quantized // rows=in, cols=out
-	bwd  *arch.Quantized // rows=out, cols=in
-
-	gradW *tensor.Tensor
-	gradB *tensor.Tensor
+	crossbars
 
 	lastIn  *tensor.Tensor
 	lastOut *tensor.Tensor
-
-	inj          *fault.Injector
-	fwdID, bwdID uint64
 }
 
 func newDenseEngine(l *nn.Dense, relu bool, bits int, inj *fault.Injector, stage uint64) *denseEngine {
-	e := &denseEngine{
-		in: l.In(), out: l.Out(), relu: relu, bits: bits,
-		w:     l.Weights().Value.Clone(), // (out, in)
-		bias:  l.Bias().Value.Clone(),
-		gradW: tensor.New(l.Out(), l.In()),
-		gradB: tensor.New(l.Out()),
-		inj:   inj, fwdID: 2 * stage, bwdID: 2*stage + 1,
-	}
-	e.program()
-	return e
-}
-
-// program (re)writes both array pairs from the float master weights. The
-// arrays are created once and reprogrammed in place thereafter, so fault
-// state (stuck maps, wear counters, remap tables, drift age) persists across
-// the per-batch updates exactly as physical silicon would.
-func (e *denseEngine) program() {
-	if e.fwd == nil {
-		e.fwd = arch.NewQuantized(tensor.Transpose(e.w), e.in, e.out, e.bits)
-		e.bwd = arch.NewQuantized(e.w, e.out, e.in, e.bits)
-		if e.inj != nil {
-			e.fwd.AttachFaults(e.inj, e.fwdID)
-			e.bwd.AttachFaults(e.inj, e.bwdID)
-		}
-		return
-	}
-	e.fwd.Program(tensor.Transpose(e.w))
-	e.bwd.Program(e.w)
-}
-
-func (e *denseEngine) tick(n int64) {
-	if e.inj != nil {
-		e.fwd.Tick(n)
-		e.bwd.Tick(n)
+	return &denseEngine{
+		in: l.In(), out: l.Out(), relu: relu,
+		crossbars: newCrossbars(l.Weights().Value, l.Bias().Value, 1, bits, inj, stage), // W is (out, in)
 	}
 }
-
-func (e *denseEngine) reprogram() { e.program() }
-
-func (e *denseEngine) weights() []*tensor.Tensor { return []*tensor.Tensor{e.w, e.bias} }
 
 func (e *denseEngine) cloneForInference() layerEngine { c := *e; return &c }
 
@@ -234,88 +260,27 @@ func (e *denseEngine) propagate(delta, _ *tensor.Tensor) *tensor.Tensor {
 	return e.bwd.MatVec(delta.Reshape(e.out))
 }
 
-func (e *denseEngine) applyUpdate(lr float64, batch int, u *arch.UpdateUnit) {
-	scale := e.w.AbsMax() * 2
-	if scale == 0 {
-		scale = 1
-	}
-	u.Apply(e.w, e.gradW, lr, batch, scale)
-	// Bias registers update digitally (the paper keeps bias in the extra
-	// word line; the averaged gradient applies the same way).
-	e.bias.AxpyInPlace(-lr/float64(batch), e.gradB)
-	e.gradW.Zero()
-	e.gradB.Zero()
-	e.program()
-}
-
 // convEngine is a convolution stage: a forward array pair holding the kernel
 // matrix and an error array pair holding the reordered kernels (W)* of
 // Figure 11; derivatives follow Figure 12 on the buffered d and δ.
 type convEngine struct {
 	inC, inH, inW, outC int
-	k, stride, pad      int
+	stride, pad         int
 	relu                bool
-	bits                int
-
-	w    *tensor.Tensor // (outC, inC, k, k) float master
-	bias *tensor.Tensor
-	fwd  *arch.Quantized // rows=inC·k·k, cols=outC
-	bwd  *arch.Quantized // rows=outC·k·k, cols=inC (reordered kernels)
-
-	gradW *tensor.Tensor
-	gradB *tensor.Tensor
+	crossbars
 
 	lastIn  *tensor.Tensor
 	lastOut *tensor.Tensor
-
-	inj          *fault.Injector
-	fwdID, bwdID uint64
 }
 
 func newConvEngine(l *nn.Conv, relu bool, bits int, inj *fault.Injector, stage uint64) *convEngine {
 	inC, inH, inW, outC, k, stride, pad := l.Geometry()
-	e := &convEngine{
+	return &convEngine{
 		inC: inC, inH: inH, inW: inW, outC: outC,
-		k: k, stride: stride, pad: pad, relu: relu, bits: bits,
-		w:     l.Weights().Value.Clone(),
-		bias:  l.Bias().Value.Clone(),
-		gradW: tensor.New(outC, inC, k, k),
-		gradB: tensor.New(outC),
-		inj:   inj, fwdID: 2 * stage, bwdID: 2*stage + 1,
-	}
-	e.program()
-	return e
-}
-
-// program (re)writes both array pairs; like denseEngine, the arrays persist
-// across reprograms so the fault model sees every write.
-func (e *convEngine) program() {
-	wmat := e.w.Reshape(e.outC, e.inC*e.k*e.k)
-	back := arch.BackwardKernels(e.w) // (inC, outC, k, k)
-	bmat := back.Reshape(e.inC, e.outC*e.k*e.k)
-	if e.fwd == nil {
-		e.fwd = arch.NewQuantized(tensor.Transpose(wmat), e.inC*e.k*e.k, e.outC, e.bits)
-		e.bwd = arch.NewQuantized(tensor.Transpose(bmat), e.outC*e.k*e.k, e.inC, e.bits)
-		if e.inj != nil {
-			e.fwd.AttachFaults(e.inj, e.fwdID)
-			e.bwd.AttachFaults(e.inj, e.bwdID)
-		}
-		return
-	}
-	e.fwd.Program(tensor.Transpose(wmat))
-	e.bwd.Program(tensor.Transpose(bmat))
-}
-
-func (e *convEngine) tick(n int64) {
-	if e.inj != nil {
-		e.fwd.Tick(n)
-		e.bwd.Tick(n)
+		stride: stride, pad: pad, relu: relu,
+		crossbars: newCrossbars(l.Weights().Value, l.Bias().Value, k, bits, inj, stage),
 	}
 }
-
-func (e *convEngine) reprogram() { e.program() }
-
-func (e *convEngine) weights() []*tensor.Tensor { return []*tensor.Tensor{e.w, e.bias} }
 
 func (e *convEngine) cloneForInference() layerEngine { c := *e; return &c }
 
@@ -378,23 +343,11 @@ func (e *convEngine) propagate(delta, _ *tensor.Tensor) *tensor.Tensor {
 	oh, ow := e.outShape()
 	cols := tensor.Im2Col(delta.Reshape(e.outC, oh, ow), e.k, e.k, 1, e.k-1)
 	fh, fw := oh+e.k-1, ow+e.k-1
-	full := e.bwd.MatVecCols(cols).Reshape(e.inC, fh, fw)
+	full := e.bwd.MatVecColsConsume(cols).Reshape(e.inC, fh, fw)
 	if e.pad > 0 {
 		full = tensor.Crop2D(full, e.pad)
 	}
 	return full
-}
-
-func (e *convEngine) applyUpdate(lr float64, batch int, u *arch.UpdateUnit) {
-	scale := e.w.AbsMax() * 2
-	if scale == 0 {
-		scale = 1
-	}
-	u.Apply(e.w, e.gradW, lr, batch, scale)
-	e.bias.AxpyInPlace(-lr/float64(batch), e.gradB)
-	e.gradW.Zero()
-	e.gradB.Zero()
-	e.program()
 }
 
 // poolEngine is a max-pooling stage; backward routes errors to the stored

@@ -120,7 +120,7 @@ func (r *Replica) InferBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 
 func (e *denseEngine) forwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	n := len(xs)
-	y := e.fwd.MatVecCols(arch.PackCols(xs)) // (out × n)
+	y := e.fwd.MatVecColsConsume(arch.PackCols(xs)) // (out × n)
 	yd := y.Data()
 	bias := e.bias.Data()
 	outs := make([]*tensor.Tensor, n)
@@ -144,16 +144,18 @@ func (e *convEngine) forwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	oh, ow := e.outShape()
 	nwin := oh * ow
 	outs := make([]*tensor.Tensor, len(xs))
+	// Im2Col already lays the windows out as columns with the shape
+	// MatVecCols wants, and each window quantizes against its own absolute
+	// maximum — exactly what the per-window MatVec loop in forward does — so
+	// one batched readout covers the whole plane. The readout quantizes the
+	// columns in place, so every image of the batch unrolls into the same
+	// buffer. Its (outC × nwin) result is already the (outC, oh, ow)
+	// plane's layout, so bias and ReLU apply in place too.
+	cols := tensor.New(e.inC*e.k*e.k, nwin)
 	for idx, x := range xs {
-		// Im2Col already lays the windows out as columns with the shape
-		// MatVecCols wants, and each window quantizes against its own
-		// absolute maximum — exactly what the per-window MatVec loop in
-		// forward does — so one batched readout covers the whole plane.
-		cols := tensor.Im2Col(x, e.k, e.k, e.stride, e.pad)
-		y := e.fwd.MatVecCols(cols) // (outC × nwin)
+		tensor.Im2ColInto(cols, x, e.k, e.k, e.stride, e.pad)
+		y := e.fwd.MatVecColsConsume(cols)
 		yd := y.Data()
-		out := tensor.New(e.outC, oh, ow)
-		od := out.Data()
 		for c := 0; c < e.outC; c++ {
 			b := e.bias.At(c)
 			for wdx := 0; wdx < nwin; wdx++ {
@@ -161,10 +163,10 @@ func (e *convEngine) forwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 				if e.relu && v < 0 {
 					v = 0
 				}
-				od[c*nwin+wdx] = v
+				yd[c*nwin+wdx] = v
 			}
 		}
-		outs[idx] = out
+		outs[idx] = y.Reshape(e.outC, oh, ow)
 	}
 	return outs
 }

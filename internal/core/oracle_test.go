@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"pipelayer/internal/arch"
 	"pipelayer/internal/fault"
+	"pipelayer/internal/networks"
 	"pipelayer/internal/nn"
 	"pipelayer/internal/parallel"
 	"pipelayer/internal/tensor"
@@ -178,11 +180,15 @@ func sameBits(a, b *tensor.Tensor) error {
 	return nil
 }
 
-// TestTrainingDatapathMatchesOracle runs tiny-cnn images forward and back
-// through every stage and checks, stage by stage, that the conv forward,
-// the propagate half and the accumulated ∂W/∂b equal the per-window and
-// per-element oracle bit for bit — at workers {1, 2, 7, GOMAXPROCS} × faults
-// {none, remap, remap+degrade}, with drift aged into the faulty arrays.
+// TestTrainingDatapathMatchesOracle runs tiny-cnn and tiny-mlp images
+// forward and back through every stage and checks, stage by stage, that the
+// conv forward, the propagate half and the accumulated ∂W/∂b equal the
+// per-window and per-element oracle bit for bit. Around the images it checks
+// the two-pass weight update, and the reprogram that shares its second pass,
+// against the sequence they replaced, run on a twin accelerator (see
+// checkUpdateAgainstOracle). All of it at workers {1, 2, 7, GOMAXPROCS} ×
+// faults {none, remap, remap+degrade, wear}, with drift aged into the faulty
+// arrays.
 func TestTrainingDatapathMatchesOracle(t *testing.T) {
 	modes := []struct {
 		name string
@@ -191,35 +197,66 @@ func TestTrainingDatapathMatchesOracle(t *testing.T) {
 		{"none", nil},
 		{"remap", &fault.Config{Seed: 3, StuckOff: 2e-4, StuckOn: 1e-4, Drift: 0.05, Spares: 4}},
 		{"remap+degrade", &fault.Config{Seed: 3, StuckOff: 2e-4, StuckOn: 1e-4, Drift: 0.05, Spares: 4, Degrade: true}},
+		// A cell's third write (the update's) wears it out, and transient
+		// write failures exhaust their retry, so the reprogram and the update
+		// remap, degrade and freeze cells through the fault model.
+		{"wear", &fault.Config{Seed: 3, StuckOff: 2e-4, StuckOn: 1e-4, Drift: 0.05, Spares: 4, Degrade: true, WriteFail: 0.02, Retries: 1, Endurance: 2}},
 	}
-	samples := testutil.ImageSamples(2, 9)
+	nets := []struct {
+		name    string
+		spec    networks.Spec
+		seed    int64
+		samples []nn.Sample
+	}{
+		{"cnn", testutil.TinyDeepCNN("oracle-cnn"), 5, testutil.ImageSamples(3, 9)},
+		{"mlp", testutil.TinyMLP("oracle-mlp"), 77, testutil.FlatSamples(3, 9)},
+	}
 	for _, mode := range modes {
 		for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
 			t.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(t *testing.T) {
 				old := parallel.Workers()
 				parallel.SetWorkers(workers)
 				defer parallel.SetWorkers(old)
-				var inj *fault.Injector
-				if mode.cfg != nil {
-					inj = fault.MustNew(*mode.cfg)
+				for _, net := range nets {
+					t.Run(net.name, func(t *testing.T) {
+						a, inj := oracleAccel(t, net.spec, net.seed, mode.cfg)
+						twin, twinInj := oracleAccel(t, net.spec, net.seed, mode.cfg)
+						checkReprogramAgainstOracle(t, a, twin)
+						a.tickEngines(3)
+						twin.tickEngines(3)
+						checkDatapathAgainstOracle(t, a, net.samples)
+						checkUpdateAgainstOracle(t, a, twin, len(net.samples))
+						if got, want := inj.Counters(), twinInj.Counters(); got != want {
+							t.Fatalf("fault counters %+v, oracle %+v", got, want)
+						}
+					})
 				}
-				a := loadedAccel(t, testutil.TinyDeepCNN("oracle-cnn"), 5, inj)
-				if inj != nil && inj.Counters().Injected == 0 {
-					t.Fatal("no faults injected; the injector is not wired into the engines")
-				}
-				a.tickEngines(3)
-				checkDatapathAgainstOracle(t, a, samples)
 			})
 		}
 	}
+}
+
+// oracleAccel loads spec from seed, with a fresh injector for cfg when it is
+// non-nil.
+func oracleAccel(t *testing.T, spec networks.Spec, seed int64, cfg *fault.Config) (*Accelerator, *fault.Injector) {
+	t.Helper()
+	var inj *fault.Injector
+	if cfg != nil {
+		inj = fault.MustNew(*cfg)
+	}
+	a := loadedAccel(t, spec, seed, inj)
+	if inj != nil && inj.Counters().Injected == 0 {
+		t.Fatal("no faults injected; the injector is not wired into the engines")
+	}
+	return a, inj
 }
 
 func checkDatapathAgainstOracle(t *testing.T, a *Accelerator, samples []nn.Sample) {
 	t.Helper()
 	grads := make([]refGrads, len(a.engines))
 	for i, e := range a.engines {
-		if gw, gb := gradBuffers(e); gw != nil {
-			grads[i] = refGrads{tensor.New(gw.Shape()...), tensor.New(gb.Shape()...)}
+		if c := crossbarsOf(e); c != nil {
+			grads[i] = refGrads{tensor.New(c.gradW.Shape()...), tensor.New(c.gradB.Shape()...)}
 		}
 	}
 	for n, s := range samples {
@@ -247,11 +284,11 @@ func checkDatapathAgainstOracle(t *testing.T, a *Accelerator, samples []nn.Sampl
 			e.derivative(d, in)
 			if grads[i].w != nil {
 				grads[i].accumulate(e, d, in)
-				gw, gb := gradBuffers(e)
-				if err := sameBits(gw, grads[i].w); err != nil {
+				c := crossbarsOf(e)
+				if err := sameBits(c.gradW, grads[i].w); err != nil {
 					t.Fatalf("image %d stage %d ∂W: %v", n, i, err)
 				}
-				if err := sameBits(gb, grads[i].b); err != nil {
+				if err := sameBits(c.gradB, grads[i].b); err != nil {
 					t.Fatalf("image %d stage %d ∂b: %v", n, i, err)
 				}
 			}
@@ -276,13 +313,135 @@ func checkDatapathAgainstOracle(t *testing.T, a *Accelerator, samples []nn.Sampl
 	}
 }
 
-// gradBuffers returns a weighted stage's running ∂W and ∂b buffers.
-func gradBuffers(e layerEngine) (w, b *tensor.Tensor) {
+// crossbarsOf returns a weighted stage's arrays and buffers, nil for a pool
+// stage.
+func crossbarsOf(e layerEngine) *crossbars {
 	switch e := e.(type) {
 	case *convEngine:
-		return e.gradW, e.gradB
+		return &e.crossbars
 	case *denseEngine:
-		return e.gradW, e.gradB
+		return &e.crossbars
 	}
-	return nil, nil
+	return nil
+}
+
+// refProgram is the array programming the two-pass update replaced: one
+// Program per array of its transposed layout, for conv of the reordered
+// kernels BackwardKernels builds, and for dense of Wᵀ's transpose, W itself.
+func refProgram(c *crossbars) {
+	outC, inC := c.w.Dim(0), c.w.Dim(1)
+	c.fwd.Program(tensor.Transpose(c.w.Reshape(outC, c.w.Size()/outC)))
+	if c.k == 1 {
+		c.bwd.Program(c.w)
+		return
+	}
+	back := arch.BackwardKernels(c.w).Reshape(inC, outC*c.k*c.k)
+	c.bwd.Program(tensor.Transpose(back))
+}
+
+// refUpdate is the update sequence the two passes replaced: UpdateUnit.Apply
+// on the master, its scale from a fresh AbsMax scan, then refProgram.
+func refUpdate(c *crossbars, lr float64, batch int, u *arch.UpdateUnit) {
+	scale := c.w.AbsMax() * 2
+	if scale == 0 {
+		scale = 1
+	}
+	u.Apply(c.w, c.gradW, lr, batch, scale)
+	c.bias.AxpyInPlace(-lr/float64(batch), c.gradB)
+	c.gradW.Zero()
+	c.gradB.Zero()
+	refProgram(c)
+}
+
+// checkReprogramAgainstOracle reprograms every weighted stage of a from its
+// unchanged masters and the same stage of twin, built from the same seed and
+// fault config, through refProgram, then compares the stages.
+func checkReprogramAgainstOracle(t *testing.T, a, twin *Accelerator) {
+	t.Helper()
+	for i, e := range a.engines {
+		if c := crossbarsOf(e); c != nil {
+			e.reprogram()
+			ref := crossbarsOf(twin.engines[i])
+			refProgram(ref)
+			if err := sameStage(c, ref); err != nil {
+				t.Fatalf("stage %d after reprogram: %v", i, err)
+			}
+		}
+	}
+}
+
+// checkUpdateAgainstOracle applies the two-pass update to every weighted
+// stage of a and refUpdate to the same stage of twin, after copying a's
+// accumulated gradients into it, and compares the stages bit for bit.
+func checkUpdateAgainstOracle(t *testing.T, a, twin *Accelerator, batch int) {
+	t.Helper()
+	const lr = 0.1
+	for i, e := range a.engines {
+		c := crossbarsOf(e)
+		if c == nil {
+			continue
+		}
+		ref := crossbarsOf(twin.engines[i])
+		copy(ref.gradW.Data(), c.gradW.Data())
+		copy(ref.gradB.Data(), c.gradB.Data())
+		e.applyUpdate(lr, batch, a.update)
+		refUpdate(ref, lr, batch, twin.update)
+		if err := sameStage(c, ref); err != nil {
+			t.Fatalf("stage %d after update: %v", i, err)
+		}
+	}
+}
+
+// sameStage compares two weighted stages bit for bit: masters, biases,
+// gradient buffers and both arrays.
+func sameStage(got, want *crossbars) error {
+	if err := sameBits(got.w, want.w); err != nil {
+		return fmt.Errorf("master: %v", err)
+	}
+	if err := sameBits(got.bias, want.bias); err != nil {
+		return fmt.Errorf("bias: %v", err)
+	}
+	if err := sameBits(got.gradW, want.gradW); err != nil {
+		return fmt.Errorf("∂W buffer: %v", err)
+	}
+	if err := sameBits(got.gradB, want.gradB); err != nil {
+		return fmt.Errorf("∂b buffer: %v", err)
+	}
+	if err := sameArray(got.fwd, want.fwd); err != nil {
+		return fmt.Errorf("forward array: %v", err)
+	}
+	if err := sameArray(got.bwd, want.bwd); err != nil {
+		return fmt.Errorf("error array: %v", err)
+	}
+	return nil
+}
+
+// sameArray compares two programmed arrays: every weight code, the scale,
+// the column fault states, and the readout of a probe vector, which goes
+// through the column-major mirror or the effective fault readout.
+func sameArray(got, want *arch.Quantized) error {
+	if math.Float64bits(got.Scale()) != math.Float64bits(want.Scale()) {
+		return fmt.Errorf("scale %v, want %v", got.Scale(), want.Scale())
+	}
+	for r := 0; r < got.Rows; r++ {
+		for c := 0; c < got.Cols; c++ {
+			if g, w := got.WeightCode(r, c), want.WeightCode(r, c); g != w {
+				return fmt.Errorf("code (%d,%d) is %d, want %d", r, c, g, w)
+			}
+		}
+	}
+	gs, ws := got.ColumnStates(), want.ColumnStates()
+	for j := range gs {
+		if gs[j] != ws[j] {
+			return fmt.Errorf("column %d state %v, want %v", j, gs[j], ws[j])
+		}
+	}
+	probe := tensor.New(got.Rows)
+	for i := range probe.Data() {
+		probe.Data()[i] = math.Sin(float64(i) + 1)
+	}
+	if err := sameBits(got.MatVec(probe), want.MatVec(probe)); err != nil {
+		return fmt.Errorf("probe readout: %v", err)
+	}
+	return nil
 }

@@ -120,6 +120,9 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 	if batch <= 0 || len(samples) == 0 || len(samples)%batch != 0 {
 		return Report{}, fmt.Errorf("core: sample count %d must be a positive multiple of batch %d", len(samples), batch)
 	}
+	if err := a.checkSamples(samples); err != nil {
+		return Report{}, err
+	}
 	L := len(a.engines)
 
 	dRing := make([]*ring, L+1)

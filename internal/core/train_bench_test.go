@@ -6,6 +6,7 @@ import (
 
 	"pipelayer/internal/networks"
 	"pipelayer/internal/nn"
+	"pipelayer/internal/tensor"
 	"pipelayer/internal/testutil"
 )
 
@@ -37,6 +38,58 @@ func BenchmarkTrain(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N*len(bc.samples))/b.Elapsed().Seconds(), "img/s")
+		})
+	}
+}
+
+// BenchmarkUpdate measures the per-batch weight update alone: one op is one
+// applyUpdate per weighted stage, the read–modify–write of the masters plus
+// the reprogramming of every array. Each op starts from the gradients one
+// batch of 8 images accumulates, restored outside the timer.
+func BenchmarkUpdate(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		spec    networks.Spec
+		samples []nn.Sample
+	}{
+		{"tiny-mlp", testutil.TinyMLP("bench-mlp"), testutil.FlatSamples(8, 8)},
+		{"tiny-cnn", testutil.TinyDeepCNN("bench-cnn"), testutil.ImageSamples(8, 9)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			a := newAccel()
+			if err := a.TopologySet(bc.spec, 1); err != nil {
+				b.Fatal(err)
+			}
+			if err := a.WeightLoad(nil, rand.New(rand.NewSource(77))); err != nil {
+				b.Fatal(err)
+			}
+			for _, s := range bc.samples {
+				delta := a.loss.Grad(a.forward(s.Input), nn.OneHot(s.Label, bc.spec.Classes))
+				for i := len(a.engines) - 1; i >= 0; i-- {
+					delta = a.backward(i, delta)
+				}
+			}
+			var stages []*crossbars
+			var grads []*tensor.Tensor
+			for _, e := range a.engines {
+				if c := crossbarsOf(e); c != nil {
+					stages = append(stages, c)
+					grads = append(grads, c.gradW.Clone(), c.gradB.Clone())
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j, c := range stages {
+					copy(c.gradW.Data(), grads[2*j].Data())
+					copy(c.gradB.Data(), grads[2*j+1].Data())
+				}
+				b.StartTimer()
+				for _, c := range stages {
+					c.applyUpdate(0.1, len(bc.samples), a.update)
+				}
+			}
 		})
 	}
 }

@@ -76,8 +76,8 @@ func (h Health) String() string {
 }
 
 // flightTrackOnline is the flight-recorder track the supervisor's round /
-// eval / swap spans land on — clear of the request track (0), the replica
-// tracks (1..N) and the training-stage tracks (100+).
+// checkpoint / eval / swap spans land on — clear of the request track (0),
+// the replica tracks (1..N) and the training-stage tracks (100+).
 const flightTrackOnline = 90
 
 // Config tunes the supervisor. Spec, Dir, and Eval are required; every
@@ -120,8 +120,9 @@ type Config struct {
 	// Metrics receives online_* instruments (and serve_* ones when
 	// Serve.Metrics is unset).
 	Metrics *telemetry.Registry
-	// Flight records online_round / online_eval / online_swap spans (and is
-	// handed to the serving layer when Serve.Flight is unset).
+	// Flight records online_round / online_checkpoint / online_eval /
+	// online_swap spans (and is handed to the serving layer when
+	// Serve.Flight is unset).
 	Flight *flight.Recorder
 	// Faults, when non-nil, wires the fault injector into the trainer's
 	// arrays — serving machines are always rebuilt on ideal arrays from the
@@ -433,12 +434,14 @@ func (s *Supervisor) Step() error {
 // and either swaps serving to it or rolls it back.
 func (s *Supervisor) promoteCandidate() error {
 	v := s.next
+	tSave := s.flight.Now()
 	if err := s.trainer.ExportWeights(s.staging); err != nil {
 		return s.noteTrainerFault(err)
 	}
 	if err := s.store.Save(s.staging, s.epochImages, v, checkpoint.StateCandidate); err != nil {
 		return s.noteTrainerFault(err)
 	}
+	s.flight.Record("online_checkpoint", 0, flightTrackOnline, tSave, int64(v))
 	s.next++
 	s.snapshots.Add(1)
 	s.count(s.mSnapshots)
@@ -478,6 +481,7 @@ func (s *Supervisor) promoteCandidate() error {
 	s.flight.Record("online_swap", 0, flightTrackOnline, tSwap, int64(v))
 
 	// Promoted: the candidate is the new baseline.
+	tPromote := s.flight.Now()
 	if err := s.store.SetState(v, checkpoint.StatePromoted); err != nil {
 		return s.noteTrainerFault(err)
 	}
@@ -494,6 +498,7 @@ func (s *Supervisor) promoteCandidate() error {
 			return s.noteTrainerFault(err)
 		}
 	}
+	s.flight.Record("online_checkpoint", 0, flightTrackOnline, tPromote, int64(v))
 	return nil
 }
 

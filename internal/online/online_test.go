@@ -2,10 +2,13 @@ package online
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,8 +16,10 @@ import (
 	"pipelayer/internal/core"
 	"pipelayer/internal/energy"
 	"pipelayer/internal/networks"
+	"pipelayer/internal/nn"
 	"pipelayer/internal/serve"
 	"pipelayer/internal/telemetry"
+	"pipelayer/internal/telemetry/flight"
 	"pipelayer/internal/tensor"
 	"pipelayer/internal/testutil"
 )
@@ -500,6 +505,83 @@ func TestNewRejectsUntrainableSpec(t *testing.T) {
 		}
 		if entries, _ := os.ReadDir(cfg.Dir); len(entries) != 0 {
 			t.Errorf("%q: rejected config left %d entries in the checkpoint directory", spec.Name, len(entries))
+		}
+	}
+}
+
+// poisonFeed is the synthetic feed with one non-finite pixel in sample bad
+// of every round.
+type poisonFeed struct {
+	*SyntheticFeed
+	bad int
+}
+
+func (f poisonFeed) Next(n int) []nn.Sample {
+	samples := f.SyntheticFeed.Next(n)
+	samples[f.bad].Input.Data()[100] = math.NaN()
+	return samples
+}
+
+// TestOnlineNaNSampleIsTrainerFault: a NaN from the feed is refused before
+// the trainer's arrays change. The round becomes a counted trainer fault that
+// pins serving on the last good version; it neither crashes nor promotes
+// weights saturated by the NaN.
+func TestOnlineNaNSampleIsTrainerFault(t *testing.T) {
+	cfg := testConfig(t)
+	s, err := New(poisonFeed{NewSyntheticFeed(true, 3), 5}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	err = s.Step()
+	if !errors.Is(err, ErrTrainerFault) || !strings.Contains(err.Error(), "sample 5 ") {
+		t.Fatalf("Step = %v, want a trainer fault naming sample 5", err)
+	}
+	if got := cfg.Metrics.Snapshot().Counters["online_trainer_faults_total"]; got != 1 {
+		t.Fatalf("online_trainer_faults_total = %v, want 1", got)
+	}
+	if s.Health() != Pinned || s.Version() != 1 || s.Promotions() != 0 {
+		t.Fatalf("health %v, version %d, promotions %d; want pinned on version 1 with none", s.Health(), s.Version(), s.Promotions())
+	}
+	xs := evalInputs(t, 2)
+	want := refScores(t, cfg.Dir, cfg.Spec, 1, xs)
+	for i, x := range xs {
+		res, err := s.Server().Predict(context.Background(), x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Version != 1 || !sameScores(res.Scores, want[i]) {
+			t.Fatalf("request %d: version %d; want version 1's exact scores", i, res.Version)
+		}
+	}
+}
+
+// TestOnlineCheckpointSpans: a promoting Step records online_checkpoint
+// twice on the supervisor's track: around the candidate's export and save,
+// and around its promotion in the store.
+func TestOnlineCheckpointSpans(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Flight = flight.New(flight.Config{})
+	s := newSupervisor(t, cfg)
+	defer s.Close()
+	if err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Promotions() != 1 {
+		t.Fatalf("promotions = %d, want 1", s.Promotions())
+	}
+	var checkpoints []flight.Event
+	for _, ev := range cfg.Flight.Events() {
+		if ev.Name == "online_checkpoint" {
+			checkpoints = append(checkpoints, ev)
+		}
+	}
+	if len(checkpoints) != 2 {
+		t.Fatalf("recorded %d online_checkpoint spans, want 2", len(checkpoints))
+	}
+	for _, ev := range checkpoints {
+		if ev.Track != flightTrackOnline || ev.Arg != 2 || ev.End < ev.Start {
+			t.Fatalf("span %+v: want version 2 on track %d", ev, flightTrackOnline)
 		}
 	}
 }

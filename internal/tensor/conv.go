@@ -92,39 +92,63 @@ func Rot180(k *Tensor) *Tensor {
 // This is exactly the "yellow bar" input-vector construction of the paper's
 // Figure 4 — each column is the vector fed to a ReRAM array in one step.
 func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: Im2Col requires rank-3 (C,H,W), got %v", x.shape))
-	}
-	c, h, w := x.shape[0], x.shape[1], x.shape[2]
-	oh := ConvOutDim(h, kh, stride, pad)
-	ow := ConvOutDim(w, kw, stride, pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Im2Col produces empty output for %v kernel (%d,%d) stride %d pad %d", x.shape, kh, kw, stride, pad))
-	}
+	c, oh, ow := im2colShape(x, kh, kw, stride, pad)
 	cols := New(c*kh*kw, oh*ow)
+	Im2ColInto(cols, x, kh, kw, stride, pad)
+	return cols
+}
+
+// Im2ColInto is Im2Col into an existing (C*KH*KW, OH*OW) tensor, so a caller
+// unrolling many images of one shape can reuse one buffer. Every element is
+// written, the zero padding included, so cols' previous contents do not
+// matter.
+func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
+	c, oh, ow := im2colShape(x, kh, kw, stride, pad)
+	if cols.Rank() != 2 || cols.shape[0] != c*kh*kw || cols.shape[1] != oh*ow {
+		panic(fmt.Sprintf("tensor: Im2ColInto needs a (%d, %d) tensor, got %v", c*kh*kw, oh*ow, cols.shape))
+	}
+	h, w := x.shape[1], x.shape[2]
 	ncols := oh * ow
 	// Each flat (ci,ky,kx) triple fills exactly one row of cols, so the
 	// triples parallelize with disjoint writes.
 	parallel.Default().For(c*kh*kw, rowGrain(ncols), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			ci, ky, kx := r/(kh*kw), (r/kw)%kh, r%kw
-			row := r * ncols
+			row := cols.data[r*ncols : (r+1)*ncols]
 			for oy := 0; oy < oh; oy++ {
+				dst := row[oy*ow : (oy+1)*ow]
 				iy := oy*stride + ky - pad
 				if iy < 0 || iy >= h {
-					continue // padding region stays zero
+					clear(dst) // padding region
+					continue
 				}
-				for ox := 0; ox < ow; ox++ {
+				src := x.data[ci*h*w+iy*w : ci*h*w+(iy+1)*w]
+				for ox := range dst {
 					ix := ox*stride + kx - pad
 					if ix < 0 || ix >= w {
+						dst[ox] = 0
 						continue
 					}
-					cols.data[row+oy*ow+ox] = x.data[ci*h*w+iy*w+ix]
+					dst[ox] = src[ix]
 				}
 			}
 		}
 	})
-	return cols
+}
+
+// im2colShape checks Im2Col's arguments and returns the image's channel
+// count and the output plane's height and width.
+func im2colShape(x *Tensor, kh, kw, stride, pad int) (c, oh, ow int) {
+	if x.Rank() != 3 {
+		panic(fmt.Sprintf("tensor: Im2Col requires rank-3 (C,H,W), got %v", x.shape))
+	}
+	c, h, w := x.shape[0], x.shape[1], x.shape[2]
+	oh = ConvOutDim(h, kh, stride, pad)
+	ow = ConvOutDim(w, kw, stride, pad)
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("tensor: Im2Col produces empty output for %v kernel (%d,%d) stride %d pad %d", x.shape, kh, kw, stride, pad))
+	}
+	return c, oh, ow
 }
 
 // Col2Im scatters a (C*KH*KW, OH*OW) column matrix back into a (C,H,W) image,

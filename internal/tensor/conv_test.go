@@ -181,6 +181,27 @@ func TestPropertyIm2ColAdjoint(t *testing.T) {
 	}
 }
 
+// TestIm2ColIntoOverwrites: unrolling into a reused buffer gives Im2Col's
+// matrix exactly, whatever the buffer held, padding zeros included.
+func TestIm2ColIntoOverwrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, g := range []struct{ c, h, w, k, stride, pad int }{
+		{1, 28, 28, 3, 1, 1},
+		{4, 14, 14, 3, 1, 1},
+		{2, 7, 5, 3, 2, 2},
+		{3, 6, 6, 2, 1, 0},
+	} {
+		x := New(g.c, g.h, g.w).RandNormal(rng, 0, 1)
+		want := Im2Col(x, g.k, g.k, g.stride, g.pad)
+		cols := New(want.Shape()...)
+		cols.Fill(7.5) // stale contents; Equal would let a NaN pass
+		Im2ColInto(cols, x, g.k, g.k, g.stride, g.pad)
+		if !Equal(cols, want, 0) {
+			t.Fatalf("%+v: Im2ColInto differs from Im2Col", g)
+		}
+	}
+}
+
 // Property: convolution is linear in the input.
 func TestPropertyConvLinear(t *testing.T) {
 	f := func(seed int64) bool {
