@@ -8,7 +8,7 @@ STATICCHECK_VERSION ?= 2025.1
 # go run pkg@version pattern as staticcheck).
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-shard race-online fault-smoke serve-smoke lint bench bench-smoke perfbench-smoke bench-scenarios bench-diff bench-baseline clean
+.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-shard race-online fault-smoke serve-smoke examples-smoke lint bench bench-smoke perfbench-smoke bench-scenarios bench-diff bench-baseline clean
 
 # Scenario-benchmark harness knobs (see DESIGN.md §4h). The glob selects
 # checked-in scenario directories; the baseline is the committed fallback the
@@ -164,6 +164,14 @@ bench:
 # execute check for the perf harness, not a measurement.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# examples-smoke runs every program under examples/ once and fails on the
+# first non-zero exit. `go build ./...` compiles them, but nothing else
+# executes them.
+examples-smoke:
+	@set -e; for d in examples/*/; do \
+		echo "== go run ./$$d"; $(GO) run ./$$d; \
+	done
 
 # perfbench-smoke checks the repository benchmark (perfbench/, a nested
 # module the root build, vet and `make check` never compile): gofmt, vet,

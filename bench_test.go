@@ -365,28 +365,32 @@ func BenchmarkMemorySystemStream(b *testing.B) {
 	b.ReportMetric(bw/1e9, "Gvalues/s")
 }
 
-// BenchmarkParallelAnalogAccuracy measures multi-worker analog evaluation.
+// BenchmarkParallelAnalogAccuracy measures multi-worker analog evaluation:
+// Test fans the images out across engine clones.
 func BenchmarkParallelAnalogAccuracy(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	net := networks.BuildTrainable(networks.MnistA(), rng)
-	m := arch.BuildMachine(net, 16)
+	a := benchAccel(b, networks.MnistA(), rand.New(rand.NewSource(5)))
 	samples, _ := pipelayer.SyntheticDigits(256, 1, true, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.AccuracyParallel(samples, 0)
+		if _, err := a.Test(samples); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkMachineInference measures full analog inference through the
-// PipeLayer machine (quantized crossbar datapath) on the Mnist-0 CNN.
+// BenchmarkMachineInference measures full analog inference of one image
+// through a replica of the accelerator (quantized crossbar datapath) on the
+// Mnist-0 CNN.
 func BenchmarkMachineInference(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	net := networks.BuildTrainable(networks.Mnist0(), rng)
-	m := arch.BuildMachine(net, 16)
+	rep, err := benchAccel(b, networks.Mnist0(), rng).NewReplica()
+	if err != nil {
+		b.Fatal(err)
+	}
 	x := tensor.New(1, 28, 28).RandUniform(rng, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(x)
+		rep.Infer(x)
 	}
 }
 
@@ -407,15 +411,15 @@ func BenchmarkFrameworkTrainStep(b *testing.B) {
 	}
 }
 
-// benchServeAccel builds a weight-loaded tiny-MLP accelerator for the
-// serving benchmarks.
-func benchServeAccel(b *testing.B) *pipelayer.Accelerator {
+// benchAccel builds an accelerator loaded with spec's initial weights drawn
+// from rng.
+func benchAccel(b *testing.B, spec networks.Spec, rng *rand.Rand) *pipelayer.Accelerator {
 	b.Helper()
 	acc := pipelayer.NewAccelerator(pipelayer.DefaultDeviceModel())
-	if err := acc.TopologySet(testutil.TinyMLP("bench-serve"), 1); err != nil {
+	if err := acc.TopologySet(spec, 1); err != nil {
 		b.Fatal(err)
 	}
-	if err := acc.WeightLoad(nil, rand.New(rand.NewSource(7))); err != nil {
+	if err := acc.WeightLoad(nil, rng); err != nil {
 		b.Fatal(err)
 	}
 	return acc
@@ -424,7 +428,7 @@ func benchServeAccel(b *testing.B) *pipelayer.Accelerator {
 // BenchmarkServeSerial is the baseline: 16 requests answered one at a time
 // through a batch-of-1 server (every readout is a single-column MatVec).
 func BenchmarkServeSerial(b *testing.B) {
-	acc := benchServeAccel(b)
+	acc := benchAccel(b, testutil.TinyMLP("bench-serve"), rand.New(rand.NewSource(7)))
 	srv, err := pipelayer.NewServer(acc, pipelayer.ServeConfig{Replicas: 1, MaxBatch: 1, QueueCap: 32})
 	if err != nil {
 		b.Fatal(err)
@@ -449,7 +453,7 @@ func BenchmarkServeSerial(b *testing.B) {
 // readout per weighted stage. The acceptance bar is ≥2× BenchmarkServeSerial
 // requests/sec (compare the req/s metric).
 func BenchmarkServeBatched(b *testing.B) {
-	acc := benchServeAccel(b)
+	acc := benchAccel(b, testutil.TinyMLP("bench-serve"), rand.New(rand.NewSource(7)))
 	srv, err := pipelayer.NewServer(acc, pipelayer.ServeConfig{
 		Replicas: 1, MaxBatch: 16, MaxWait: 5 * time.Millisecond, QueueCap: 32,
 	})

@@ -1,8 +1,8 @@
 // Command pipelayer-train trains the Figure 13 resolution-study networks on
 // the synthetic digit dataset and prints the resolution/accuracy trade-off
 // (the paper's Figure 13), optionally followed by an analog-inference
-// fidelity check that runs the trained network through the full PipeLayer
-// machine (spike-coded crossbar datapath).
+// fidelity check that loads the trained network onto the PipeLayer
+// accelerator and runs Test through its spike-coded crossbar datapath.
 //
 // Usage:
 //
@@ -19,9 +19,10 @@ import (
 	"math/rand"
 	"os"
 
-	"pipelayer/internal/arch"
 	"pipelayer/internal/checkpoint"
+	"pipelayer/internal/core"
 	"pipelayer/internal/dataset"
+	"pipelayer/internal/energy"
 	"pipelayer/internal/experiments"
 	"pipelayer/internal/fault"
 	"pipelayer/internal/networks"
@@ -140,14 +141,17 @@ func main() {
 				inj.AttachMetrics(reg)
 			}
 		}
-		m := arch.BuildMachineFaults(net, 16, inj)
 		at0 := rec.Now()
-		analogAcc := m.Accuracy(test)
+		analogAcc, err := analogAccuracy(spec, net, inj, test)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		if *traceDepth >= 1 {
 			rec.Record("train_eval", 0, trainTrack, at0, int64(len(test)))
 		}
 		fmt.Printf("  float accuracy : %.3f\n", floatAcc)
-		fmt.Printf("  analog accuracy: %.3f (PipeLayer machine, quantized crossbars)\n", analogAcc)
+		fmt.Printf("  analog accuracy: %.3f (PipeLayer accelerator, quantized crossbars)\n", analogAcc)
 		if inj != nil {
 			c := inj.Counters()
 			fmt.Printf("  faults         : injected=%d remapped=%d degraded=%d corrupt=%d\n",
@@ -170,4 +174,22 @@ func main() {
 		}
 		fmt.Printf("telemetry snapshot written to %s\n", *metricsPath)
 	}
+}
+
+// analogAccuracy loads net onto a fresh accelerator through the Section 5.2
+// sequence, with inj (nil for the ideal device) wired into every crossbar,
+// and returns the accuracy Test measures on the samples.
+func analogAccuracy(spec networks.Spec, net *nn.Network, inj *fault.Injector, test []nn.Sample) (float64, error) {
+	acc := core.New(energy.DefaultModel())
+	if err := acc.TopologySet(spec, 1); err != nil {
+		return 0, err
+	}
+	if err := acc.SetFaults(inj); err != nil {
+		return 0, err
+	}
+	if err := acc.WeightLoad(net, nil); err != nil {
+		return 0, err
+	}
+	rep, err := acc.Test(test)
+	return rep.Accuracy, err
 }

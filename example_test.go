@@ -64,8 +64,17 @@ func ExampleNewFaultInjector() {
 	}
 	spec := pipelayer.EvaluationNetworks()[0] // Mnist-A
 	net := pipelayer.BuildTrainable(spec, rand.New(rand.NewSource(1)))
-	m := pipelayer.BuildFaultyMachine(net, 16, inj)
-	_ = m // ready for Accuracy/Predict — results repaired where spares allowed
+	acc := pipelayer.NewAccelerator(pipelayer.DefaultDeviceModel())
+	if err := acc.TopologySet(spec, 1); err != nil {
+		panic(err)
+	}
+	if err := acc.SetFaults(inj); err != nil {
+		panic(err)
+	}
+	if err := acc.WeightLoad(net, nil); err != nil {
+		panic(err)
+	}
+	// acc is ready for Test — results repaired where spares allowed.
 	c := inj.Counters()
 	fmt.Println("corrupt columns:", c.Corrupted)
 	// Output: corrupt columns: 0

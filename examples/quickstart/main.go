@@ -2,8 +2,9 @@
 //
 //  1. Train a tiny CNN on the synthetic digit task with the from-scratch
 //     framework (the paper's Section 2 substrate).
-//  2. Program the trained weights onto the PipeLayer machine and run analog
-//     inference through the spike-coded crossbar datapath (Sections 4.1–4.2).
+//  2. Load the trained weights onto the PipeLayer accelerator (Topology_set,
+//     Weight_load) and Test them through the spike-coded crossbar datapath
+//     (Sections 4.1–4.2, 5.2).
 //  3. Simulate the pipelined training schedule (Section 3.3) and report
 //     cycles, wall-clock time and energy from the device model (Section 6.2).
 //
@@ -12,9 +13,10 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand"
 
-	"pipelayer/internal/arch"
+	"pipelayer/internal/core"
 	"pipelayer/internal/dataset"
 	"pipelayer/internal/energy"
 	"pipelayer/internal/mapping"
@@ -36,16 +38,25 @@ func main() {
 	}
 	fmt.Printf("   float accuracy: %.3f\n\n", net.Accuracy(test))
 
-	// --- 2. Analog inference on the PipeLayer machine. ---
+	// --- 2. Analog inference on the PipeLayer accelerator. ---
 	fmt.Println("2. Programming weights onto ReRAM crossbars (16-bit, 4-bit cells ×4 groups)")
-	machine := arch.BuildMachine(net, 16)
-	fmt.Printf("   engines: %v\n", machine.Engines())
-	fmt.Printf("   analog accuracy: %.3f\n\n", machine.Accuracy(test))
+	model := energy.DefaultModel()
+	acc := core.New(model)
+	if err := acc.TopologySet(spec, 1); err != nil {
+		log.Fatal(err)
+	}
+	if err := acc.WeightLoad(net, nil); err != nil {
+		log.Fatal(err)
+	}
+	rep, err := acc.Test(test)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("   analog accuracy: %.3f\n\n", rep.Accuracy)
 
 	// --- 3. Pipeline timing and energy. ---
 	fmt.Println("3. Simulating the inter-layer training pipeline (batch 64, 640 images)")
-	model := energy.DefaultModel()
-	plans := model.BalancedPlans(spec.Layers, mapping.DefaultArray, 1)
+	plans := acc.Plans()
 	L, B, N := spec.WeightedLayers(), 64, 640
 	res := pipeline.Simulate(pipeline.Config{L: L, B: B, N: N, Pipelined: true, Training: true})
 	fmt.Printf("   logical cycles  : %d (closed form: %d)\n",

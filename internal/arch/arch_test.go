@@ -6,9 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pipelayer/internal/dataset"
 	"pipelayer/internal/fault"
-	"pipelayer/internal/networks"
 	"pipelayer/internal/nn"
 	"pipelayer/internal/reram"
 	"pipelayer/internal/tensor"
@@ -74,61 +72,6 @@ func TestQuantizedSegments(t *testing.T) {
 		if s != 0xF {
 			t.Fatalf("full-scale segments = %v", segs)
 		}
-	}
-}
-
-func trainSmallCNN(t *testing.T, rng *rand.Rand) (*nn.Network, []nn.Sample) {
-	t.Helper()
-	net := networks.BuildTrainable(networks.Mnist0(), rng)
-	train, test := dataset.TrainTest(300, 120, dataset.DefaultOptions(false), 5)
-	for epoch := 0; epoch < 3; epoch++ {
-		net.TrainEpoch(train, 10, 0.05)
-	}
-	return net, test
-}
-
-func TestMachineMatchesFloatNetwork(t *testing.T) {
-	if testing.Short() {
-		t.Skip("machine fidelity test skipped in -short mode")
-	}
-	rng := rand.New(rand.NewSource(2))
-	net, test := trainSmallCNN(t, rng)
-	m := BuildMachine(net, 16)
-	floatAcc := net.Accuracy(test)
-	analogAcc := m.Accuracy(test)
-	if math.Abs(floatAcc-analogAcc) > 0.05 {
-		t.Fatalf("analog accuracy %g deviates from float accuracy %g", analogAcc, floatAcc)
-	}
-	if analogAcc < 0.5 {
-		t.Fatalf("analog accuracy %g suspiciously low", analogAcc)
-	}
-}
-
-func TestMachineEnginesFuseActivations(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	net := networks.BuildTrainable(networks.MnistA(), rng)
-	m := BuildMachine(net, 16)
-	// Mnist-A: fc1(+relu fused), fc2 → exactly 2 engines.
-	if got := len(m.Engines()); got != 2 {
-		t.Fatalf("engines = %v", m.Engines())
-	}
-}
-
-func TestMachineForwardScoresCloseToFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	net := networks.BuildTrainable(networks.MnistA(), rng)
-	m := BuildMachine(net, 16)
-	x := tensor.New(784).RandUniform(rng, 0, 1)
-	yf := net.Forward(x)
-	ya := m.Forward(x)
-	for i := 0; i < 10; i++ {
-		if math.Abs(yf.At(i)-ya.At(i)) > 0.02*(1+math.Abs(yf.At(i))) {
-			t.Fatalf("score %d: float %g vs analog %g", i, yf.At(i), ya.At(i))
-		}
-	}
-	// The memory bank must hold every stage's intermediate.
-	if m.Bank.Len() != len(m.Engines()) {
-		t.Fatal("memory bank missing intermediates")
 	}
 }
 

@@ -1,10 +1,9 @@
-// Package arch assembles the PipeLayer machine from its substrates: tiled
-// crossbar engines per layer (Figure 9's overall architecture), the
+// Package arch holds the datapath building blocks the layer engines of
+// internal/core are assembled from: the quantized crossbar readout that
+// stands in for a programmed array pair (Figure 9's compute subarrays), the
 // error-backward datapaths of Section 4.3 (Figure 10/11), the weight-update
 // read–modify–write of Section 4.4 (Figure 14b), and the Table 1 cycle
-// operation breakdown. A Machine runs full-network analog inference and
-// exposes the same accuracy interface as the float framework, so functional
-// fidelity is directly measurable.
+// operation breakdown.
 package arch
 
 import (

@@ -1,11 +1,17 @@
 // Package core is the integrated PipeLayer accelerator — the paper's primary
 // contribution assembled from every substrate. It exposes the programming
 // interface of Section 5.2 (Copy_to_PL / Copy_to_CPU, Topology_set,
-// Weight_load, Pipeline_set, Train / Test) as a stateful Accelerator, and it
-// executes *complete training* functionally through the analog datapaths:
+// Weight_load, Pipeline_set, Train / Test) as a stateful Accelerator. Its
+// layer engines are the repository's one analog datapath: Test, the serving
+// Replicas and both training executors run the same stages, and it executes
+// *complete training* functionally through them:
 //
 //   - forward passes run through quantized crossbar models (the bit-exact
-//     fast equivalent of the spike-domain simulation, see internal/arch);
+//     fast equivalent of the spike-domain simulation, see internal/arch).
+//     The activation component of Section 4.2.3 is a sign check for ReLU,
+//     fused into its weighted stage, and a configurable-LUT stage for the
+//     sigmoid; a pooling stage takes each window's maximum (the max
+//     register) or its Equation 2 mean;
 //   - error backward runs through dedicated error arrays holding the
 //     reordered kernels (W)* of Section 4.3;
 //   - partial derivatives accumulate in buffers over the batch and the
@@ -303,7 +309,7 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 	if len(samples) == 0 || len(samples)%batch != 0 {
 		return Report{}, fmt.Errorf("core: sample count %d must be a positive multiple of batch %d", len(samples), batch)
 	}
-	if err := a.checkSamples(samples); err != nil {
+	if err := a.checkTrain(samples); err != nil {
 		return Report{}, err
 	}
 	totalLoss := 0.0
@@ -365,13 +371,22 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 	return rep, nil
 }
 
-// checkSamples validates every training sample before any array is
-// touched, by the rule serve applies to requests: the input has the
-// network's element count (and the (C,H,W) shape a conv front stage reads),
-// every value is finite, and the label is a class index. A NaN would
-// otherwise pass the loss through ReLU's clamp, turn a whole ∂W column NaN
-// and saturate those weights in the update; a bad size or label panics.
-func (a *Accelerator) checkSamples(samples []nn.Sample) error {
+// checkTrain is the pre-flight Train and TrainPipelined share, run before
+// any array is touched. The network must be one the analog backward path
+// can train: the Figure 11 error-backward-as-convolution identity it
+// implements holds for unit stride, so a strided conv, which inference
+// serves, is refused here. Then every sample is validated by the rule serve
+// applies to requests: the input has the network's element count (and the
+// (C,H,W) shape a conv front stage reads), every value is finite, and the
+// label is a class index. A NaN would otherwise pass the loss through ReLU's
+// clamp, turn a whole ∂W column NaN and saturate those weights in the
+// update; a bad size or label panics.
+func (a *Accelerator) checkTrain(samples []nn.Sample) error {
+	for _, l := range a.spec.Layers {
+		if l.Kind == mapping.KindConv && l.Stride != 1 {
+			return fmt.Errorf("core: conv layer %s has stride %d; the analog backward path supports stride 1", l.Name, l.Stride)
+		}
+	}
 	c, h, w := a.spec.InC, a.spec.InH, a.spec.InW
 	_, conv := a.engines[0].(*convEngine)
 	for i, s := range samples {

@@ -248,6 +248,29 @@ func TestTrainRejectsFlatImageForConv(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsStridedConv: Weight_load accepts a stride-2 conv, which
+// Test and the replicas serve, but both training executors refuse it before
+// touching an array — the analog error backward needs unit stride.
+func TestTrainRejectsStridedConv(t *testing.T) {
+	a := loadedAccel(t, strideSpec(), 5, nil)
+	samples := testutil.ImageSamples(8, 9)
+	if _, err := a.Test(samples); err != nil {
+		t.Fatal(err)
+	}
+	before := a.WeightsSnapshot()
+	for _, train := range []func([]nn.Sample, int, float64) (Report, error){a.Train, a.TrainPipelined} {
+		_, err := train(samples, 8, 0.1)
+		if err == nil || !strings.Contains(err.Error(), "conv layer conv1 has stride 2") {
+			t.Fatalf("err = %v, want the stride-1 refusal", err)
+		}
+	}
+	for i, w := range a.WeightsSnapshot() {
+		if err := sameBits(w, before[i]); err != nil {
+			t.Fatalf("parameter %d changed: %v", i, err)
+		}
+	}
+}
+
 func TestReportsCarryModeledCost(t *testing.T) {
 	a := newAccel()
 	if err := a.TopologySet(networks.MnistB(), 1); err != nil {

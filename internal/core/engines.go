@@ -6,6 +6,7 @@ import (
 	"pipelayer/internal/arch"
 	"pipelayer/internal/fault"
 	"pipelayer/internal/nn"
+	"pipelayer/internal/reram"
 	"pipelayer/internal/telemetry/flight"
 	"pipelayer/internal/tensor"
 )
@@ -68,13 +69,17 @@ type layerEngine interface {
 }
 
 // buildEngines lowers a float network onto analog layer engines. Supported
-// sequence: Conv(+ReLU), MaxPool, Dense(+ReLU) — the trainable zoo. A
+// sequence: Conv and Dense, each with a fused ReLU or followed by a Sigmoid
+// LUT stage; MaxPool and AvgPool — every network BuildTrainable emits. A
 // non-nil injector wires the fault model into every array: weighted stage s
 // owns array ids 2s (forward) and 2s+1 (error-backward).
 func buildEngines(net *nn.Network, bits int, inj *fault.Injector) ([]layerEngine, error) {
 	var engines []layerEngine
 	layers := net.Layers
 	stage := uint64(0)
+	// width is the element count of the last stage's output, the size of a
+	// LUT stage that follows it.
+	width := 0
 	for i := 0; i < len(layers); i++ {
 		switch l := layers[i].(type) {
 		case *nn.Dense:
@@ -87,12 +92,8 @@ func buildEngines(net *nn.Network, bits int, inj *fault.Injector) ([]layerEngine
 			}
 			engines = append(engines, newDenseEngine(l, relu, bits, inj, stage))
 			stage++
+			width = l.Out()
 		case *nn.Conv:
-			if _, _, _, _, _, stride, _ := l.Geometry(); stride != 1 {
-				// The Figure 11 error-backward-as-convolution identity the
-				// analog datapath implements holds for unit stride.
-				return nil, fmt.Errorf("core: conv layer %s has stride %d; the analog backward path supports stride 1", l.Name(), stride)
-			}
 			relu := false
 			if i+1 < len(layers) {
 				if _, ok := layers[i+1].(*nn.ReLU); ok {
@@ -100,11 +101,22 @@ func buildEngines(net *nn.Network, bits int, inj *fault.Injector) ([]layerEngine
 					i++
 				}
 			}
-			engines = append(engines, newConvEngine(l, relu, bits, inj, stage))
+			e := newConvEngine(l, relu, bits, inj, stage)
+			engines = append(engines, e)
 			stage++
+			oh, ow := e.outShape()
+			width = e.outC * oh * ow
 		case *nn.MaxPool:
 			inC, inH, inW, k := l.Geometry()
 			engines = append(engines, &poolEngine{inC: inC, inH: inH, inW: inW, k: k})
+			width = inC * (inH / k) * (inW / k)
+		case *nn.AvgPool:
+			inC, inH, inW, k := l.Geometry()
+			engines = append(engines, &poolEngine{inC: inC, inH: inH, inW: inW, k: k, avg: true})
+			width = inC * (inH / k) * (inW / k)
+		case *nn.Sigmoid:
+			// The configurable LUT of Section 4.2.3 realizes the sigmoid.
+			engines = append(engines, &lutEngine{lut: reram.SigmoidLUT(4096), n: width})
 		default:
 			return nil, fmt.Errorf("core: unsupported layer type %T", l)
 		}
@@ -350,11 +362,14 @@ func (e *convEngine) propagate(delta, _ *tensor.Tensor) *tensor.Tensor {
 	return full
 }
 
-// poolEngine is a max-pooling stage; backward routes errors to the stored
-// window maxima (Figure 10b).
+// poolEngine is a pooling stage. Max pooling (the max register of Section
+// 4.2.3) routes errors back to the stored window maxima (Figure 10b); average
+// pooling (Equation 2) spreads each error over its window.
 type poolEngine struct {
 	inC, inH, inW, k int
-	lastIn           *tensor.Tensor
+	avg              bool
+	weightless
+	lastIn *tensor.Tensor
 }
 
 func (e *poolEngine) forward(x *tensor.Tensor) *tensor.Tensor {
@@ -362,10 +377,14 @@ func (e *poolEngine) forward(x *tensor.Tensor) *tensor.Tensor {
 	return e.pool(x)
 }
 
-// pool takes each k×k window's first maximum in row-major scan order.
+// pool takes each k×k window's first maximum in row-major scan order, or
+// for average pooling the window mean.
 func (e *poolEngine) pool(x *tensor.Tensor) *tensor.Tensor {
 	if x.Size() != e.inC*e.inH*e.inW {
 		panic(fmt.Sprintf("core: pool input %v for a (%d,%d,%d) stage", x.Shape(), e.inC, e.inH, e.inW))
+	}
+	if e.avg {
+		return e.mean(x)
 	}
 	oh, ow := e.inH/e.k, e.inW/e.k
 	out := tensor.New(e.inC, oh, ow)
@@ -391,33 +410,120 @@ func (e *poolEngine) pool(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// mean is Equation 2: each window's row-major sum times 1/K².
+func (e *poolEngine) mean(x *tensor.Tensor) *tensor.Tensor {
+	oh, ow := e.inH/e.k, e.inW/e.k
+	out := tensor.New(e.inC, oh, ow)
+	xd, od := x.Data(), out.Data()
+	inv := 1.0 / float64(e.k*e.k)
+	for c := 0; c < e.inC; c++ {
+		plane := xd[c*e.inH*e.inW : (c+1)*e.inH*e.inW]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				base := oy*e.k*e.inW + ox*e.k
+				s := 0.0
+				for ky := 0; ky < e.k; ky++ {
+					for _, v := range plane[base+ky*e.inW : base+ky*e.inW+e.k] {
+						s += v
+					}
+				}
+				od[(c*oh+oy)*ow+ox] = s * inv
+			}
+		}
+	}
+	return out
+}
+
 func (e *poolEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, nil }
 
 func (e *poolEngine) maskError(raw, _ *tensor.Tensor) *tensor.Tensor {
 	return raw.Reshape(e.inC, e.inH/e.k, e.inW/e.k)
 }
 
-func (e *poolEngine) derivative(_, _ *tensor.Tensor) {}
-
 func (e *poolEngine) propagate(delta, input *tensor.Tensor) *tensor.Tensor {
-	return arch.MaxPoolBackward(
-		delta.Reshape(e.inC, e.inH/e.k, e.inW/e.k),
-		input.Reshape(e.inC, e.inH, e.inW), e.k)
+	oh, ow := e.inH/e.k, e.inW/e.k
+	d := delta.Reshape(e.inC, oh, ow)
+	if !e.avg {
+		return arch.MaxPoolBackward(d, input.Reshape(e.inC, e.inH, e.inW), e.k)
+	}
+	// Each error times 1/K² lands on every element of its window, as
+	// nn.AvgPool.Backward accumulates it.
+	out := tensor.New(e.inC, e.inH, e.inW)
+	dd, od := d.Data(), out.Data()
+	inv := 1.0 / float64(e.k*e.k)
+	for c := 0; c < e.inC; c++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				g := dd[(c*oh+oy)*ow+ox] * inv
+				base := (c*e.inH+oy*e.k)*e.inW + ox*e.k
+				for ky := 0; ky < e.k; ky++ {
+					row := od[base+ky*e.inW : base+ky*e.inW+e.k]
+					for j := range row {
+						row[j] += g
+					}
+				}
+			}
+		}
+	}
+	return out
 }
-
-func (e *poolEngine) applyUpdate(float64, int, *arch.UpdateUnit) {}
-
-func (e *poolEngine) tick(int64) {}
-
-func (e *poolEngine) reprogram() {}
-
-func (e *poolEngine) weights() []*tensor.Tensor { return nil }
 
 func (e *poolEngine) cloneForInference() layerEngine { c := *e; return &c }
 
 func (e *poolEngine) forwardCost() float64 { return float64(e.inC) * float64(e.inH) * float64(e.inW) }
 
 func (e *poolEngine) withFlight(*flight.Recorder, uint64) layerEngine { return e }
+
+// lutEngine is an elementwise activation stage through the activation
+// component's configurable LUT (Section 4.2.3): the sigmoid. Backward masks
+// the error with f′ = y(1−y) of the buffered output, the rule
+// nn.Sigmoid.Backward applies.
+type lutEngine struct {
+	lut *reram.LUT
+	n   int // elements per input
+	weightless
+	lastOut *tensor.Tensor
+}
+
+func (e *lutEngine) forward(x *tensor.Tensor) *tensor.Tensor {
+	y := x.Map(e.lut.Lookup)
+	e.lastOut = y.Clone()
+	return y
+}
+
+func (e *lutEngine) buffered() (in, out *tensor.Tensor) { return nil, e.lastOut }
+
+func (e *lutEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
+	d := tensor.New(output.Shape()...)
+	yd, dd := output.Data(), d.Data()
+	for i, g := range raw.Data() {
+		y := yd[i]
+		dd[i] = g * y * (1 - y)
+	}
+	return d
+}
+
+func (e *lutEngine) propagate(delta, _ *tensor.Tensor) *tensor.Tensor { return delta }
+
+func (e *lutEngine) cloneForInference() layerEngine { c := *e; return &c }
+
+func (e *lutEngine) forwardCost() float64 { return float64(e.n) }
+
+func (e *lutEngine) withFlight(*flight.Recorder, uint64) layerEngine { return e }
+
+// weightless is the weight half of a stage without arrays: nothing to
+// accumulate, update, age or reprogram.
+type weightless struct{}
+
+func (weightless) derivative(_, _ *tensor.Tensor) {}
+
+func (weightless) applyUpdate(float64, int, *arch.UpdateUnit) {}
+
+func (weightless) tick(int64) {}
+
+func (weightless) reprogram() {}
+
+func (weightless) weights() []*tensor.Tensor { return nil }
 
 // errorBackward is one stage's error-array pass: accumulate its partial
 // derivatives from (δ, buffered input), then return the raw upstream error.

@@ -9,10 +9,13 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
+	"pipelayer/internal/energy"
 	"pipelayer/internal/fault"
 	"pipelayer/internal/networks"
 	"pipelayer/internal/nn"
@@ -96,5 +99,63 @@ func TestTrainingGoldenBits(t *testing.T) {
 					tc.want.digest, tc.want.lossBits, math.Float64frombits(tc.want.lossBits))
 			}
 		})
+	}
+}
+
+// TestInferenceGoldenBits pins analog inference to absolute bits, through
+// both replica paths (Infer and InferBatch): the zoo's Mnist-A and Mnist-0,
+// the sigmoid LUT stage, average pooling and a stride-2 conv, at 4 and 16
+// spike bits, eight inputs each. The constants are the output digests of
+// the arch package's former stand-alone inference Machine on the same
+// weights and inputs, so the lowering of every layer kind it handled is
+// held to its bits.
+func TestInferenceGoldenBits(t *testing.T) {
+	cases := []struct {
+		name   string
+		spec   networks.Spec
+		flat   bool
+		digest map[int]uint64 // by spike bits
+	}{
+		{"mnist-a", networks.MnistA(), true, map[int]uint64{4: 0xf04c56098d8740b3, 16: 0x7a1707a24a18008f}},
+		{"mnist-0", networks.Mnist0(), false, map[int]uint64{4: 0x7ef3174a9d76ec69, 16: 0x48423487af88ec63}},
+		{"sigmoid-mlp", testutil.SigmoidMLP("sig-mlp"), true, map[int]uint64{4: 0xbc84bffdbd9d8234, 16: 0x87b2f0a4b1df6e13}},
+		{"avgpool-cnn", testutil.AvgPoolCNN("avg-cnn"), false, map[int]uint64{4: 0xbc8aca09bd8235e, 16: 0xb894c8cb65ca5fb5}},
+		{"stride-cnn", strideSpec(), false, map[int]uint64{4: 0xc27939e1f7a523cb, 16: 0xd783fafb0d6e7bac}},
+	}
+	for _, tc := range cases {
+		samples := testutil.ImageSamples(8, 23)
+		if tc.flat {
+			samples = testutil.FlatSamples(8, 23)
+		}
+		xs := make([]*tensor.Tensor, len(samples))
+		for i, s := range samples {
+			xs[i] = s.Input
+		}
+		for _, bits := range []int{4, 16} {
+			t.Run(fmt.Sprintf("%s/bits=%d", tc.name, bits), func(t *testing.T) {
+				model := energy.DefaultModel()
+				model.SpikeBits = bits
+				net := networks.BuildTrainable(tc.spec, rand.New(rand.NewSource(19)))
+				a, err := NewFromSnapshot(model, tc.spec, 1, net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := a.NewReplica()
+				if err != nil {
+					t.Fatal(err)
+				}
+				serial := make([]*tensor.Tensor, len(xs))
+				for i, x := range xs {
+					serial[i] = r.Infer(x)
+				}
+				want := tc.digest[bits]
+				if got := weightsDigest(serial); got != want {
+					t.Errorf("Infer digest %#x, want %#x", got, want)
+				}
+				if got := weightsDigest(r.InferBatch(xs)); got != want {
+					t.Errorf("InferBatch digest %#x, want %#x", got, want)
+				}
+			})
+		}
 	}
 }

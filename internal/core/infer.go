@@ -178,3 +178,11 @@ func (e *poolEngine) forwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
 	}
 	return outs
 }
+
+func (e *lutEngine) forwardBatch(xs []*tensor.Tensor) []*tensor.Tensor {
+	outs := make([]*tensor.Tensor, len(xs))
+	for idx, x := range xs {
+		outs[idx] = x.Map(e.lut.Lookup)
+	}
+	return outs
+}

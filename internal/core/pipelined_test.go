@@ -30,30 +30,33 @@ func buildPair(t *testing.T, spec networks.Spec, seed int64) (*Accelerator, *Acc
 // 2(L−l)+1-deep circular rings and every unit used once per cycle —
 // computes exactly the same weights as processing them sequentially.
 func TestPipelinedTrainMatchesSequential(t *testing.T) {
-	spec := testutil.TinyDeepMLP("pipe-mlp")
-	seq, pipe := buildPair(t, spec, 31)
-	samples := testutil.FlatSamples(40, 8)
+	for _, spec := range []networks.Spec{testutil.TinyDeepMLP("pipe-mlp"), testutil.SigmoidMLP("sig-mlp")} {
+		t.Run(spec.Name, func(t *testing.T) {
+			seq, pipe := buildPair(t, spec, 31)
+			samples := testutil.FlatSamples(40, 8)
 
-	repSeq, err := seq.Train(samples, 8, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repPipe, err := pipe.TrainPipelined(samples, 8, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+			repSeq, err := seq.Train(samples, 8, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repPipe, err := pipe.TrainPipelined(samples, 8, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if repSeq.MeanLoss != repPipe.MeanLoss {
-		t.Fatalf("losses differ: sequential %.12f vs pipelined %.12f", repSeq.MeanLoss, repPipe.MeanLoss)
-	}
-	ws, wp := seq.WeightsSnapshot(), pipe.WeightsSnapshot()
-	if len(ws) != len(wp) {
-		t.Fatalf("snapshot lengths differ: %d vs %d", len(ws), len(wp))
-	}
-	for i := range ws {
-		if !tensor.Equal(ws[i], wp[i], 0) {
-			t.Fatalf("weight tensor %d differs between sequential and pipelined training", i)
-		}
+			if repSeq.MeanLoss != repPipe.MeanLoss {
+				t.Fatalf("losses differ: sequential %.12f vs pipelined %.12f", repSeq.MeanLoss, repPipe.MeanLoss)
+			}
+			ws, wp := seq.WeightsSnapshot(), pipe.WeightsSnapshot()
+			if len(ws) != len(wp) {
+				t.Fatalf("snapshot lengths differ: %d vs %d", len(ws), len(wp))
+			}
+			for i := range ws {
+				if !tensor.Equal(ws[i], wp[i], 0) {
+					t.Fatalf("weight tensor %d differs between sequential and pipelined training", i)
+				}
+			}
+		})
 	}
 }
 
@@ -61,20 +64,23 @@ func TestPipelinedTrainMatchesSequentialCNN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short mode")
 	}
-	spec := testutil.TinyDeepCNN("pipe-cnn")
-	seq, pipe := buildPair(t, spec, 5)
-	samples := testutil.ImageSamples(12, 9)
-	if _, err := seq.Train(samples, 4, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.TrainPipelined(samples, 4, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	ws, wp := seq.WeightsSnapshot(), pipe.WeightsSnapshot()
-	for i := range ws {
-		if !tensor.Equal(ws[i], wp[i], 0) {
-			t.Fatalf("CNN weight tensor %d differs", i)
-		}
+	for _, spec := range []networks.Spec{testutil.TinyDeepCNN("pipe-cnn"), testutil.AvgPoolCNN("avg-cnn")} {
+		t.Run(spec.Name, func(t *testing.T) {
+			seq, pipe := buildPair(t, spec, 5)
+			samples := testutil.ImageSamples(12, 9)
+			if _, err := seq.Train(samples, 4, 0.05); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pipe.TrainPipelined(samples, 4, 0.05); err != nil {
+				t.Fatal(err)
+			}
+			ws, wp := seq.WeightsSnapshot(), pipe.WeightsSnapshot()
+			for i := range ws {
+				if !tensor.Equal(ws[i], wp[i], 0) {
+					t.Fatalf("CNN weight tensor %d differs", i)
+				}
+			}
+		})
 	}
 }
 

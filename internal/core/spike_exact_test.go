@@ -1,9 +1,12 @@
-package arch
+package core
 
 import (
 	"math/rand"
 	"testing"
 
+	"pipelayer/internal/energy"
+	"pipelayer/internal/mapping"
+	"pipelayer/internal/networks"
 	"pipelayer/internal/nn"
 	"pipelayer/internal/reram"
 	"pipelayer/internal/tensor"
@@ -12,33 +15,45 @@ import (
 // The capstone fidelity check: a whole (tiny) network inferred through the
 // true spike-by-spike crossbar simulation — weighted spike trains driven
 // into ResolutionArrays, Integration-and-Fire counting, shift-add of the
-// four 4-bit groups, D_P − D_N subtraction — must match the fast quantized
-// machine bit for bit at every layer, end to end.
+// four 4-bit groups, D_P − D_N subtraction, the rectifier LUT — must match
+// a replica of the accelerator bit for bit at every layer, end to end.
 func TestSpikeExactEndToEndInference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const bits = 8
 
 	// A 2-layer MLP small enough for the O(rows·cols·bits·8) spike path.
 	in, hid, out := 16, 6, 4
-	net := nn.NewNetwork("tiny", []int{in}, out, nn.SoftmaxLoss{},
-		nn.NewDense("fc1", in, hid, rng),
-		nn.NewReLU("r1"),
-		nn.NewDense("fc2", hid, out, rng),
-	)
-	fast := BuildMachine(net, bits)
+	spec := networks.Spec{
+		Name: "tiny", InC: 1, InH: 4, InW: 4, Classes: out,
+		Layers: []mapping.Layer{
+			mapping.FC("fc1", in, hid),
+			mapping.FC("fc2", hid, out),
+		},
+	}
+	net := networks.BuildTrainable(spec, rng)
+	model := energy.DefaultModel()
+	model.SpikeBits = bits
+	a, err := NewFromSnapshot(model, spec, 1, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := a.NewReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Spike-exact path: one ResolutionArray per dense layer.
 	dense1 := net.Layers[0].(*nn.Dense)
 	dense2 := net.Layers[2].(*nn.Dense)
 	ra1 := reram.NewResolutionArray(tensor.Transpose(dense1.Weights().Value), in, hid, 0, nil)
 	ra2 := reram.NewResolutionArray(tensor.Transpose(dense2.Weights().Value), hid, out, 0, nil)
-	act := reram.NewActivationUnit(reram.ReLULUT())
+	relu := reram.ReLULUT()
 
 	spikeForward := func(x *tensor.Tensor) *tensor.Tensor {
 		h := ra1.MatVecFloat(x, bits)
 		h.AddInPlace(dense1.Bias().Value)
 		for i, v := range h.Data() {
-			h.Data()[i] = act.Activate(v)
+			h.Data()[i] = relu.Lookup(v)
 		}
 		y := ra2.MatVecFloat(h, bits)
 		y.AddInPlace(dense2.Bias().Value)
@@ -48,9 +63,9 @@ func TestSpikeExactEndToEndInference(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		x := tensor.New(in).RandUniform(rng, 0, 1)
 		spikeY := spikeForward(x)
-		fastY := fast.Forward(x)
+		fastY := fast.Infer(x)
 		if !tensor.Equal(spikeY, fastY, 1e-12) {
-			t.Fatalf("trial %d: spike-exact %v vs fast machine %v", trial, spikeY.Data(), fastY.Data())
+			t.Fatalf("trial %d: spike-exact %v vs replica %v", trial, spikeY.Data(), fastY.Data())
 		}
 	}
 

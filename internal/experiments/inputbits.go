@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"pipelayer/internal/arch"
+	"pipelayer/internal/core"
 	"pipelayer/internal/dataset"
 	"pipelayer/internal/mapping"
 	"pipelayer/internal/networks"
@@ -50,9 +50,10 @@ type InputBitsResult struct {
 	Rows     []InputBitsRow
 }
 
-// InputBitsStudy trains Mnist-0 once in software, then evaluates the analog
-// machine at each input resolution, alongside the cycle-time the device
-// model assigns to that many spike slots.
+// InputBitsStudy trains Mnist-0 once in software, then loads it onto an
+// accelerator at each input resolution and reads the analog accuracy from
+// Test, alongside the cycle-time the device model assigns to that many
+// spike slots.
 func InputBitsStudy(s Setup, cfg InputBitsConfig) InputBitsResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	spec := networks.Mnist0()
@@ -66,12 +67,19 @@ func InputBitsStudy(s Setup, cfg InputBitsConfig) InputBitsResult {
 	// sweep isolates the spike-slot count rather than re-balancing G.
 	plans := s.Model.BalancedPlans(spec.Layers, mapping.DefaultArray, 1)
 	for _, bits := range cfg.Bits {
-		m := arch.BuildMachine(net, bits)
 		model := s.Model
 		model.SpikeBits = bits
+		a, err := core.NewFromSnapshot(model, spec, 1, net)
+		if err != nil {
+			panic(err)
+		}
+		rep, err := a.Test(test)
+		if err != nil {
+			panic(err)
+		}
 		res.Rows = append(res.Rows, InputBitsRow{
 			Bits:         bits,
-			Accuracy:     m.Accuracy(test),
+			Accuracy:     rep.Accuracy,
 			CycleSeconds: model.CycleTime(plans),
 		})
 	}

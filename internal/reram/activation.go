@@ -5,61 +5,9 @@ import (
 	"math"
 )
 
-// ActivationUnit models the activation component of Figure 9(c): a
-// subtractor combining the positive-array result D_P and negative-array
-// result D_N, a configurable look-up table realizing the algorithm's
-// activation function, and a register that keeps the running maximum of a
-// sequence to realize max pooling.
-type ActivationUnit struct {
-	lut    *LUT
-	maxReg float64
-	maxSet bool
-}
-
-// NewActivationUnit creates an activation unit with the given LUT.
-// A nil LUT bypasses the function (used when subarrays are read as plain
-// memory, and during the weight-update read path of Section 4.4.2).
-func NewActivationUnit(lut *LUT) *ActivationUnit { return &ActivationUnit{lut: lut} }
-
-// Clone returns an activation unit sharing the (read-only) LUT with a
-// cleared max register — the per-worker peripheral copy that lets window
-// chunks stream through the same configured function concurrently.
-func (a *ActivationUnit) Clone() *ActivationUnit { return &ActivationUnit{lut: a.lut} }
-
-// Subtract is the subtractor stage: D_P − D_N.
-func (a *ActivationUnit) Subtract(dp, dn float64) float64 { return dp - dn }
-
-// Activate applies the configured LUT (or identity when bypassed).
-func (a *ActivationUnit) Activate(x float64) float64 {
-	if a.lut == nil {
-		return x
-	}
-	return a.lut.Lookup(x)
-}
-
-// Process runs the full path: subtract, activate, and update the max
-// register. It returns the activated value.
-func (a *ActivationUnit) Process(dp, dn float64) float64 {
-	v := a.Activate(a.Subtract(dp, dn))
-	if !a.maxSet || v > a.maxReg {
-		a.maxReg = v
-		a.maxSet = true
-	}
-	return v
-}
-
-// MaxAndReset returns the running maximum (for max pooling) and clears the
-// register for the next window.
-func (a *ActivationUnit) MaxAndReset() float64 {
-	v := a.maxReg
-	a.maxReg = 0
-	a.maxSet = false
-	return v
-}
-
-// LUT is a sampled look-up table over a bounded input domain, the hardware
-// realization of the activation function. Inputs outside [Lo, Hi] clamp to
-// the boundary entries.
+// LUT is the activation component's configurable look-up table (Section
+// 4.2.3): the activation function sampled over a bounded input domain.
+// Inputs outside [Lo, Hi] clamp to the boundary entries.
 type LUT struct {
 	Lo, Hi    float64
 	entries   []float64

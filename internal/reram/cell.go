@@ -2,8 +2,8 @@
 // resistive cells with 4-bit programmable conductance, crossbar arrays that
 // perform analog matrix–vector multiplication driven by the spike package,
 // the positive/negative array pairs and four-group resolution compensation of
-// Sections 4.2.3 and 5.1, the activation component (subtractor + LUT + max
-// register), and the morphable/memory subarray abstraction of Section 3.
+// Sections 4.2.3 and 5.1, the activation component's configurable LUT, and
+// the morphable/memory subarray abstraction of Section 3.
 package reram
 
 import (

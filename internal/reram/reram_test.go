@@ -168,37 +168,6 @@ func TestPropertyResolutionShiftAdd(t *testing.T) {
 	}
 }
 
-func TestActivationUnitReLU(t *testing.T) {
-	a := NewActivationUnit(ReLULUT())
-	if got := a.Process(5, 2); got != 3 {
-		t.Fatalf("Process(5,2) = %g, want 3", got)
-	}
-	if got := a.Process(1, 4); got != 0 {
-		t.Fatalf("Process(1,4) = %g, want 0 (ReLU)", got)
-	}
-}
-
-func TestActivationUnitMaxRegister(t *testing.T) {
-	a := NewActivationUnit(ReLULUT())
-	a.Process(2, 0)
-	a.Process(7, 0)
-	a.Process(4, 0)
-	if m := a.MaxAndReset(); m != 7 {
-		t.Fatalf("max register = %g, want 7", m)
-	}
-	a.Process(1, 0)
-	if m := a.MaxAndReset(); m != 1 {
-		t.Fatalf("max register after reset = %g, want 1", m)
-	}
-}
-
-func TestActivationUnitBypass(t *testing.T) {
-	a := NewActivationUnit(nil)
-	if got := a.Process(1, 5); got != -4 {
-		t.Fatalf("bypass Process = %g, want -4", got)
-	}
-}
-
 func TestSigmoidLUTAccuracy(t *testing.T) {
 	l := SigmoidLUT(1024)
 	for _, x := range []float64{-5, -1, 0, 0.3, 2, 6} {
@@ -264,39 +233,6 @@ func TestModeString(t *testing.T) {
 	if Mode(9).String() == "" {
 		t.Fatal("unknown mode must still render")
 	}
-}
-
-func TestMemoryBank(t *testing.T) {
-	b := NewMemoryBank()
-	x := tensor.FromSlice([]float64{3}, 1)
-	b.Write("d1", x)
-	x.Set(99, 0) // bank must have copied
-	got, err := b.Read("d1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.At(0) != 3 {
-		t.Fatalf("bank returned %g, want 3 (no aliasing)", got.At(0))
-	}
-	if _, err := b.Read("missing"); err == nil {
-		t.Fatal("expected error for missing key")
-	}
-	if !b.Has("d1") || b.Has("nope") || b.Len() != 1 {
-		t.Fatal("Has/Len wrong")
-	}
-	if b.Writes != 1 || b.Reads != 1 {
-		t.Fatalf("access counts: %d writes, %d reads", b.Writes, b.Reads)
-	}
-}
-
-func TestMemoryBankMustReadPanics(t *testing.T) {
-	b := NewMemoryBank()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	b.MustRead("absent")
 }
 
 func TestNoisyArrayStillApproximates(t *testing.T) {

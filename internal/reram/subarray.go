@@ -90,50 +90,3 @@ func (m *Morphable) Load() *tensor.Tensor {
 	}
 	return m.store.Clone()
 }
-
-// MemoryBank is a set of memory subarrays addressed by name — the circles of
-// the paper's Figure 3 that hold intermediate d and δ values between layers.
-type MemoryBank struct {
-	slots map[string]*tensor.Tensor
-	// Writes and Reads count accesses for the energy model.
-	Writes, Reads int
-}
-
-// NewMemoryBank creates an empty bank.
-func NewMemoryBank() *MemoryBank {
-	return &MemoryBank{slots: make(map[string]*tensor.Tensor)}
-}
-
-// Write stores a copy of t under key.
-func (b *MemoryBank) Write(key string, t *tensor.Tensor) {
-	b.slots[key] = t.Clone()
-	b.Writes++
-}
-
-// Read returns a copy of the tensor under key, or an error if absent.
-func (b *MemoryBank) Read(key string) (*tensor.Tensor, error) {
-	t, ok := b.slots[key]
-	if !ok {
-		return nil, fmt.Errorf("reram: memory bank has no entry %q", key)
-	}
-	b.Reads++
-	return t.Clone(), nil
-}
-
-// MustRead is Read that panics on a missing key (programming error).
-func (b *MemoryBank) MustRead(key string) *tensor.Tensor {
-	t, err := b.Read(key)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Has reports whether key is present.
-func (b *MemoryBank) Has(key string) bool {
-	_, ok := b.slots[key]
-	return ok
-}
-
-// Len returns the number of stored entries.
-func (b *MemoryBank) Len() int { return len(b.slots) }

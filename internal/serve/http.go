@@ -53,12 +53,23 @@ func DecodePredictRequest(body []byte, wantSize int) (*tensor.Tensor, error) {
 	if len(req.Input) != wantSize {
 		return nil, fmt.Errorf("serve: input has %d elements, want %d", len(req.Input), wantSize)
 	}
-	for i, v := range req.Input {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("serve: input[%d] is not finite", i)
-		}
+	if err := checkFinite(req.Input); err != nil {
+		return nil, err
 	}
 	return tensor.FromSlice(req.Input, wantSize), nil
+}
+
+// checkFinite rejects an input holding NaN or ±Inf, the rule the HTTP
+// decoder and Predict share. Served, such a value poisons the quantization
+// scale: the answer comes back without an error, as a wrong class or as NaN
+// scores.
+func checkFinite(input []float64) error {
+	for i, v := range input {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("serve: input[%d] is not finite", i)
+		}
+	}
+	return nil
 }
 
 // FlightTraceHeader carries a request's flight-recorder trace id: send it to

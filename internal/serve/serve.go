@@ -485,7 +485,8 @@ func (s *Server) SetReadiness(r Readiness) { s.readiness.Store(int32(r)) }
 func (s *Server) Readiness() Readiness { return Readiness(s.readiness.Load()) }
 
 // Predict submits one input and waits for its result, the request context's
-// cancellation, or its deadline — whichever comes first. A canceled request
+// cancellation, or its deadline — whichever comes first. A nil, mis-sized or
+// non-finite input is an error before anything is queued. A canceled request
 // already in the queue is skipped by the workers; its slot costs nothing but
 // queue depth until its batch flushes.
 func (s *Server) Predict(ctx context.Context, x *tensor.Tensor) (Result, error) {
@@ -494,6 +495,9 @@ func (s *Server) Predict(ctx context.Context, x *tensor.Tensor) (Result, error) 
 	}
 	if x.Size() != s.in {
 		return Result{}, fmt.Errorf("serve: input has %d elements, want %d", x.Size(), s.in)
+	}
+	if err := checkFinite(x.Data()); err != nil {
+		return Result{}, err
 	}
 	if x.Rank() == 1 && len(s.spec.Layers) > 0 && s.spec.Layers[0].Kind != mapping.KindFC {
 		// HTTP clients send flat vectors; a conv front layer needs the

@@ -3,9 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -395,6 +398,40 @@ func TestServeValidatesInput(t *testing.T) {
 	}
 	if _, err := s.Predict(context.Background(), tensor.New(3)); err == nil {
 		t.Fatal("wrong-size input accepted")
+	}
+}
+
+// TestServeRejectsNonFiniteInput: NaN and ±Inf are refused by Predict, the
+// embedded entry point, as the HTTP decoder refuses them — on the replica
+// backend and on the sharded one — and never reach a worker. Served, they
+// come back without an error as a wrong class or as NaN scores.
+func TestServeRejectsNonFiniteInput(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var batches atomic.Int64
+			s, err := New(loadedAccel(t, nil), Config{
+				Shards:              shards,
+				testHookBeforeBatch: func() { batches.Add(1) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			x := inputs(t, 1)[0]
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				bad := x.Clone()
+				bad.Data()[300] = v
+				if _, err := s.Predict(context.Background(), bad); err == nil {
+					t.Errorf("input holding %v accepted", v)
+				}
+			}
+			if _, err := s.Predict(context.Background(), x); err != nil {
+				t.Fatal(err)
+			}
+			if n := batches.Load(); n != 1 {
+				t.Fatalf("%d batches reached the workers, want 1 (the finite request's)", n)
+			}
+		})
 	}
 }
 

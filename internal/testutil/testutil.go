@@ -53,6 +53,32 @@ func TinyDeepCNN(name string) networks.Spec {
 	}
 }
 
+// SigmoidMLP is a 784-32-10 perceptron with a sigmoid hidden activation,
+// which exercises the configurable-LUT path of the activation component
+// (Section 4.2.3).
+func SigmoidMLP(name string) networks.Spec {
+	return networks.Spec{
+		Name: name, InC: 1, InH: 28, InW: 28, Classes: 10,
+		Layers: []mapping.Layer{
+			mapping.FC("fc1", 784, 32).WithActivation(mapping.ActSigmoid),
+			mapping.FC("fc2", 32, 10),
+		},
+	}
+}
+
+// AvgPoolCNN is a conv-avgpool-fc stack, which exercises Equation 2's
+// average-pooling datapath.
+func AvgPoolCNN(name string) networks.Spec {
+	return networks.Spec{
+		Name: name, InC: 1, InH: 28, InW: 28, Classes: 10,
+		Layers: []mapping.Layer{
+			mapping.Conv("conv1", 1, 28, 28, 6, 5, 1, 0), // -> 6×24×24
+			mapping.AvgPool("pool1", 6, 24, 24, 2),       // -> 6×12×12
+			mapping.FC("fc", 6*12*12, 10),
+		},
+	}
+}
+
 // FlatSamples generates n synthetic digit samples with flattened 784-element
 // inputs — the form the MLP specs consume.
 func FlatSamples(n int, seed int64) []nn.Sample {

@@ -26,7 +26,6 @@ import (
 	"io"
 	"math/rand"
 
-	"pipelayer/internal/arch"
 	"pipelayer/internal/checkpoint"
 	"pipelayer/internal/core"
 	"pipelayer/internal/dataset"
@@ -69,8 +68,6 @@ type (
 	DeviceModel = energy.Model
 	// GPUBaseline is the analytic GTX 1080 + Caffe model.
 	GPUBaseline = gpu.Platform
-	// Machine is the functional analog-inference machine.
-	Machine = arch.Machine
 	// PipelineConfig configures the cycle-level schedule simulation.
 	PipelineConfig = pipeline.Config
 	// PipelineResult is a simulated schedule's cycle count and buffer stats.
@@ -195,9 +192,6 @@ func AlexNet() Spec { return networks.AlexNet() }
 // BuildTrainable assembles a runnable Network from a geometry Spec.
 func BuildTrainable(s Spec, rng *rand.Rand) *Network { return networks.BuildTrainable(s, rng) }
 
-// BuildMachine programs a trained Network onto the analog PipeLayer machine.
-func BuildMachine(net *Network, spikeBits int) *Machine { return arch.BuildMachine(net, spikeBits) }
-
 // SyntheticDigits generates the deterministic MNIST stand-in dataset
 // (train, test); flat selects rank-1 784-vectors vs (1,28,28) images.
 func SyntheticDigits(nTrain, nTest int, flat bool, seed int64) (train, test []Sample) {
@@ -283,12 +277,6 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) { return checkpoi
 // config yields the same stuck cells, write failures and repair decisions at
 // every worker count.
 func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) { return fault.New(cfg) }
-
-// BuildFaultyMachine is BuildMachine with a fault injector wired into every
-// weight array (nil restores the ideal machine).
-func BuildFaultyMachine(net *Network, spikeBits int, inj *FaultInjector) *Machine {
-	return arch.BuildMachineFaults(net, spikeBits, inj)
-}
 
 // RunFaultSweep runs the accuracy-vs-fault-density robustness study:
 // accelerator training at every (density, tolerance-mode) point.

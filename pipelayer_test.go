@@ -8,7 +8,7 @@ import (
 )
 
 // The façade test drives the whole public API end to end: dataset →
-// training → analog machine → pipeline simulation → performance models.
+// training → analog accelerator → pipeline simulation → performance models.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	// Networks and workload accounting.
 	specs := pipelayer.EvaluationNetworks()
@@ -31,10 +31,20 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("float accuracy %g too low", floatAcc)
 	}
 
-	// Analog machine fidelity.
-	m := pipelayer.BuildMachine(net, 16)
-	if analog := m.Accuracy(test); analog < floatAcc-0.1 {
-		t.Fatalf("analog accuracy %g far below float %g", analog, floatAcc)
+	// Analog fidelity: the trained weights loaded onto the accelerator.
+	acc := pipelayer.NewAccelerator(pipelayer.DefaultDeviceModel())
+	if err := acc.TopologySet(specs[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.WeightLoad(net, nil); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := acc.Test(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Accuracy < floatAcc-0.1 {
+		t.Fatalf("analog accuracy %g far below float %g", rep.Accuracy, floatAcc)
 	}
 
 	// Pipeline simulation matches the closed forms.
