@@ -8,15 +8,7 @@ STATICCHECK_VERSION ?= 2025.1
 # go run pkg@version pattern as staticcheck).
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-shard race-online fault-smoke serve-smoke examples-smoke lint bench bench-smoke perfbench-smoke bench-scenarios bench-diff bench-baseline clean
-
-# Scenario-benchmark harness knobs (see DESIGN.md §4h). The glob selects
-# checked-in scenario directories; the baseline is the committed fallback the
-# CI regression gate diffs against when no cached main-branch report exists.
-SCENARIO_GLOB ?= benchmarks/scenarios/*
-BENCH_REPORT_DIR ?= bench-reports
-BENCH_BASELINE ?= benchmarks/baselines/suite.json
-BENCH_DIFF_THRESHOLD ?= 15
+.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-shard race-online fault-smoke serve-smoke examples-smoke lint bench bench-smoke perfbench-smoke bench-regression clean
 
 build:
 	$(GO) build ./...
@@ -117,15 +109,13 @@ race-online:
 	$(GO) test -race -count=1 ./internal/online/... ./internal/checkpoint/...
 
 # serve-smoke is the end-to-end load test: train a small network, fire 200
-# concurrent requests through the batching scheduler, verify every response
-# is bit-identical to the serial path, and record throughput + latency
-# percentiles (plus the paired serial-vs-batched tiny-network benchmark) in
-# BENCH_serve.json. Tracing is on at full depth: the run verifies that each
-# request's queue+batch+compute spans tile its end-to-end latency and leaves
-# a Perfetto-loadable trace.json behind.
+# concurrent requests through the batching scheduler, fail unless every
+# response is bit-identical to the serial path, and print throughput and
+# latency percentiles. Tracing is on at full depth: the run verifies that
+# each request's queue+batch+compute spans tile its end-to-end latency and
+# leaves a Perfetto-loadable trace.json behind.
 serve-smoke:
 	$(GO) run ./cmd/pipelayer-serve -smoke 200 -train-images 120 -epochs 1 -trace-out trace.json -trace-depth 2
-	@test -s BENCH_serve.json && echo "BENCH_serve.json written"
 	@test -s trace.json && echo "trace.json written"
 
 # fault-smoke runs the accuracy-vs-fault-density sweep at tiny scale — an
@@ -134,23 +124,6 @@ serve-smoke:
 fault-smoke:
 	$(GO) run ./cmd/pipelayer-bench -faults -quick -telemetry "" -faultout BENCH_fault.json > /dev/null
 	@test -s BENCH_fault.json && echo "BENCH_fault.json written"
-
-# bench-scenarios runs every checked-in scenario and writes per-scenario
-# report.json files plus the aggregated suite.json under BENCH_REPORT_DIR.
-bench-scenarios:
-	$(GO) run ./cmd/pipelayer-bench -scenarios '$(SCENARIO_GLOB)' -report-dir $(BENCH_REPORT_DIR)
-
-# bench-diff gates the fresh suite against a baseline: non-zero exit when a
-# gated metric regressed past the threshold (noise- and host-calibrated; see
-# DESIGN.md §4h) or bit-identity broke.
-bench-diff:
-	$(GO) run ./cmd/pipelayer-bench -diff $(BENCH_BASELINE) $(BENCH_REPORT_DIR)/suite.json -threshold $(BENCH_DIFF_THRESHOLD)
-
-# bench-baseline refreshes the committed fallback baseline in-place. Run on a
-# quiet machine, eyeball the diff, and commit the result.
-bench-baseline:
-	$(GO) run ./cmd/pipelayer-bench -scenarios '$(SCENARIO_GLOB)' -report-dir $(BENCH_REPORT_DIR)
-	cp $(BENCH_REPORT_DIR)/suite.json $(BENCH_BASELINE)
 
 # lint needs network access the first time (module proxy fetch of the pinned
 # staticcheck); afterwards the module cache makes it hermetic.
@@ -190,6 +163,32 @@ perfbench-smoke:
 	bash perfbench/run.sh --workload train-serve --seed 1 --seconds 10 --trace 0
 	bash perfbench/run.sh --workload cnn-shard --seed 1 --seconds 2 --trace 1
 
+# bench-regression is the benchmark regression gate: paired perfbench runs of
+# a base commit and of this checkout on one machine, judged by BENCHMARK.json's
+# own end-to-end bounds (pipelayer-bench -diff). BASE is exported with git
+# archive under .bench_build/gate/src. Each workload runs three base/head pairs
+# of 10 s (train-serve's shortest valid run) at seeds 1-3, alternating sides;
+# each run's result line is appended to .bench_build/gate/{base,head}/<workload>.jsonl.
+# Exit 1 names the workload and metric that regressed, a wrong answer, a higher
+# failed share or a missing result. About 5 minutes on two cores.
+bench-regression:
+	@test -n "$(BASE)" || { echo "usage: make bench-regression BASE=<commit>"; exit 2; }
+	@git rev-parse --verify --quiet "$(BASE)^{commit}" > /dev/null || { echo "BASE=$(BASE) is not a commit"; exit 2; }
+	rm -rf .bench_build/gate
+	mkdir -p .bench_build/gate/src .bench_build/gate/base .bench_build/gate/head
+	git archive "$(BASE)" | tar -x -C .bench_build/gate/src
+	@set -e; for wl in mlp-serve cnn-shard train-serve; do \
+		for seed in 1 2 3; do \
+			echo "== $$wl seed $$seed: base"; \
+			(cd .bench_build/gate/src && bash perfbench/run.sh --workload $$wl --seed $$seed --seconds 10 --trace 0) \
+				| tail -n 1 >> .bench_build/gate/base/$$wl.jsonl; \
+			echo "== $$wl seed $$seed: head"; \
+			bash perfbench/run.sh --workload $$wl --seed $$seed --seconds 10 --trace 0 \
+				| tail -n 1 >> .bench_build/gate/head/$$wl.jsonl; \
+		done; \
+	done
+	$(GO) run ./cmd/pipelayer-bench -diff .bench_build/gate/base .bench_build/gate/head
+
 clean:
-	rm -f pipelayer-sim pipelayer-train pipelayer-bench pipelayer-serve BENCH_telemetry.json BENCH_fault.json BENCH_serve.json trace.json $(VET_FINDINGS)
-	rm -rf bench-reports $(VET_CACHE_DIR)
+	rm -f pipelayer-sim pipelayer-train pipelayer-bench pipelayer-serve BENCH_telemetry.json BENCH_fault.json trace.json $(VET_FINDINGS)
+	rm -rf $(VET_CACHE_DIR)

@@ -1,9 +1,8 @@
 // Command pipelayer-bench regenerates every table and figure of the paper's
 // evaluation section and prints them in paper order. Use -fig13 to include
 // the (training-heavy) resolution/accuracy study and -quick to shrink it.
-// It is also the scenario-benchmark harness's CLI: -scenarios runs every
-// checked-in scenario directory matching a glob, and -diff gates one
-// report artifact against another.
+// It is also the benchmark regression gate: -diff judges paired perfbench
+// runs of a base commit and a change by BENCHMARK.json's bounds.
 //
 // Usage:
 //
@@ -11,20 +10,15 @@
 //	pipelayer-bench -fig13     # additionally train the Figure 13 networks
 //	pipelayer-bench -fig13 -quick
 //	pipelayer-bench -faults    # accuracy-vs-fault-density robustness sweep
-//	pipelayer-bench -scenarios 'benchmarks/scenarios/*'   # scenario suite
-//	pipelayer-bench -diff old.json new.json -threshold 15 # regression gate
+//	pipelayer-bench -diff BASE_DIR HEAD_DIR   # gate <dir>/<workload>.jsonl perfbench runs
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"sort"
 
-	"pipelayer/internal/benchscenario"
 	"pipelayer/internal/core"
 	"pipelayer/internal/dataset"
 	"pipelayer/internal/experiments"
@@ -46,32 +40,17 @@ func main() {
 	telemetryPath := flag.String("telemetry", "BENCH_telemetry.json", "write the run's telemetry snapshot (stage spans + pipeline utilization) here; empty disables")
 	metricsPath := flag.String("metrics", "", "write an additional JSON telemetry snapshot to this path")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /metrics on this address (e.g. localhost:6060)")
-	scenarios := flag.String("scenarios", "", "run every scenario directory matching this glob (e.g. 'benchmarks/scenarios/*') and exit")
-	reportDir := flag.String("report-dir", "bench-reports", "where -scenarios writes per-scenario report.json files and the aggregate suite.json")
-	repeats := flag.Int("repeats", 5, "timed passes per serve scenario; each metric's best across passes is reported (best-of-k de-noises shared hosts)")
-	diffOld := flag.String("diff", "", "old report/suite to gate against; the new one is the positional argument (pipelayer-bench -diff old.json new.json)")
-	threshold := flag.Float64("threshold", 15, "allowed regression in percent for -diff (timing metrics relative after host calibration, rate/accuracy metrics in absolute points)")
+	diffBase := flag.String("diff", "", "gate paired perfbench runs: pipelayer-bench -diff BASE_DIR HEAD_DIR reads <dir>/<workload>.jsonl and judges the head runs against the base runs by "+benchmarkFile+"'s end-to-end bounds")
 	flag.Parse()
 
 	parallel.SetWorkers(*workers)
 
-	if *diffOld != "" {
-		// flag stops at the first positional, so "-diff old.json new.json
-		// -threshold 20" leaves the threshold unparsed; pick it up here.
-		rest := flag.NewFlagSet("pipelayer-bench -diff", flag.ExitOnError)
-		restThreshold := rest.Float64("threshold", *threshold, "allowed regression in percent")
-		if flag.NArg() < 1 || rest.Parse(flag.Args()[1:]) != nil || rest.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: pipelayer-bench -diff old.json new.json [-threshold N]")
+	if *diffBase != "" {
+		if flag.NArg() != 1 {
+			fmt.Fprintln(os.Stderr, "usage: pipelayer-bench -diff BASE_DIR HEAD_DIR")
 			os.Exit(2)
 		}
-		if err := runDiff(*diffOld, flag.Arg(0), *restThreshold); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scenarios != "" {
-		if err := runScenarios(*scenarios, *reportDir, *repeats); err != nil {
+		if err := runGate(benchmarkFile, *diffBase, flag.Arg(0), os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -192,84 +171,6 @@ func main() {
 			fmt.Printf("telemetry snapshot written to %s\n", path)
 		}
 	}
-}
-
-// runScenarios executes every scenario matching the glob in name order,
-// writing <reportDir>/<name>/report.json per scenario plus the aggregate
-// <reportDir>/suite.json — the artifact CI caches and diffs.
-func runScenarios(glob, reportDir string, repeats int) error {
-	scs, err := benchscenario.Discover(glob)
-	if err != nil {
-		return err
-	}
-	env := benchscenario.CollectEnv()
-	fmt.Printf("scenario suite: %d scenarios, commit %.12s, %s, calib %.0f MFLOP/s\n",
-		len(scs), env.Build.Commit, env.Build.GoVersion, env.CalibMFLOPS)
-
-	suite := benchscenario.Suite{SchemaVersion: benchscenario.SchemaVersion}
-	for _, sc := range scs {
-		rep, err := benchscenario.Run(context.Background(), sc, benchscenario.Options{Env: &env, Repeats: repeats})
-		if err != nil {
-			return err
-		}
-		dir := filepath.Join(reportDir, sc.Name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		if err := rep.WriteFile(filepath.Join(dir, "report.json")); err != nil {
-			return err
-		}
-		suite.Reports = append(suite.Reports, rep)
-		fmt.Printf("  %-22s %s\n", sc.Name, summarizeMetrics(rep))
-	}
-	path := filepath.Join(reportDir, "suite.json")
-	if err := suite.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Printf("suite report written to %s\n", path)
-	return nil
-}
-
-// summarizeMetrics renders a report's headline numbers on one line, keys
-// sorted so the log is deterministic.
-func summarizeMetrics(rep benchscenario.Report) string {
-	keys := make([]string, 0, len(rep.Metrics))
-	for k := range rep.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%.4g", k, rep.Metrics[k])
-	}
-	return out
-}
-
-// runDiff gates newPath against oldPath at the threshold, printing the
-// field-by-field comparison; any regression or provenance refusal is a
-// non-zero exit.
-func runDiff(oldPath, newPath string, thresholdPct float64) error {
-	oldReps, err := benchscenario.ReadReports(oldPath)
-	if err != nil {
-		return err
-	}
-	newReps, err := benchscenario.ReadReports(newPath)
-	if err != nil {
-		return err
-	}
-	res, err := benchscenario.Diff(oldReps, newReps, benchscenario.DiffOptions{ThresholdPct: thresholdPct})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Render())
-	if res.Regressed() {
-		return fmt.Errorf("bench-diff: regression beyond %.0f%% threshold (%s vs %s)", thresholdPct, oldPath, newPath)
-	}
-	fmt.Printf("bench-diff: no regression beyond %.0f%% threshold\n", thresholdPct)
-	return nil
 }
 
 // recordBenchTelemetry fills reg with the two halves of the benchmark's

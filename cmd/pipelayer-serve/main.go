@@ -8,25 +8,25 @@
 //	pipelayer-serve                          # train Mnist-A, listen on :8093
 //	pipelayer-serve -net Mnist-0 -replicas 2 # serve the CNN with two replicas
 //	pipelayer-serve -net Mnist-0 -shards 3   # pipeline the CNN across 3 layer shards
-//	pipelayer-serve -smoke 200               # offline load test → BENCH_serve.json
+//	pipelayer-serve -smoke 200               # offline load test, bit-checked against serial inference
 //	pipelayer-serve -list                    # servable networks
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"pipelayer/internal/benchscenario"
 	"pipelayer/internal/core"
 	"pipelayer/internal/dataset"
 	"pipelayer/internal/energy"
@@ -39,7 +39,6 @@ import (
 	"pipelayer/internal/telemetry"
 	"pipelayer/internal/telemetry/flight"
 	"pipelayer/internal/tensor"
-	"pipelayer/internal/testutil"
 )
 
 func main() {
@@ -66,7 +65,6 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.02, "-online: allowed eval-accuracy drop before a candidate is rolled back")
 	maxRegressions := flag.Int("max-regressions", 3, "-online: consecutive rollbacks before promotion pins")
 	keepCheckpoints := flag.Int("keep-checkpoints", 0, "-online: prune the store to the newest N versions (0 = keep all)")
-	benchOut := flag.String("bench-out", "BENCH_serve.json", "where -smoke writes its JSON report")
 	workers := flag.Int("workers", 0, "worker pool size for the parallel compute backend (0 = PIPELAYER_WORKERS or GOMAXPROCS, 1 = serial); results are bit-identical at every size")
 	metricsPath := flag.String("metrics", "", "write a JSON telemetry snapshot to this path on exit")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof and /metrics on this address (e.g. localhost:6060)")
@@ -164,7 +162,7 @@ func main() {
 	}
 
 	if *smoke > 0 {
-		if err := runSmoke(acc, cfg, test, *smoke, *seed, *benchOut); err != nil {
+		if err := runSmoke(acc, cfg, test, *smoke); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -304,148 +302,78 @@ func listen(acc *core.Accelerator, cfg serve.Config, addr string, timeout time.D
 	return srv.Shutdown(ctx)
 }
 
-// benchReport is the BENCH_serve.json schema: serial vs batched throughput
-// on the same trained machine, batched latency percentiles, and the paired
-// tiny-network benchmark (the bench_test.go BenchmarkServeSerial /
-// BenchmarkServeBatched pair re-measured min-over-reps, robust to a noisy
-// host). Provenance pins the artifact to the producing commit, toolchain,
-// timestamp, and effective workers/replicas so two artifacts are never
-// compared across incompatible configs.
-type benchReport struct {
-	Network         string                   `json:"network"`
-	Requests        int                      `json:"requests"`
-	Replicas        int                      `json:"replicas"`
-	MaxBatch        int                      `json:"max_batch"`
-	SerialRPS       float64                  `json:"serial_rps"`
-	BatchedRPS      float64                  `json:"batched_rps"`
-	Speedup         float64                  `json:"speedup"`
-	P50Ms           float64                  `json:"p50_ms"`
-	P90Ms           float64                  `json:"p90_ms"`
-	P99Ms           float64                  `json:"p99_ms"`
-	BenchSerialRPS  float64                  `json:"bench_serial_rps"`
-	BenchBatchedRPS float64                  `json:"bench_batched_rps"`
-	BenchSpeedup    float64                  `json:"bench_speedup_x"`
-	Provenance      benchscenario.Provenance `json:"provenance"`
-}
+// smokeLanes bounds how many -smoke callers are in flight at once.
+const smokeLanes = 1024
 
-// pairedBench re-measures the BenchmarkServeSerial vs BenchmarkServeBatched
-// pair on the tiny MLP: 16 requests per iteration, serially through a
-// batch-of-1 server vs concurrently through a batch-of-16 server, taking the
-// minimum per-iteration time over reps to shed scheduler noise.
-func pairedBench() (serialRPS, batchedRPS float64, err error) {
-	acc := core.New(energy.DefaultModel())
-	if err := acc.TopologySet(testutil.TinyMLP("smoke-bench"), 1); err != nil {
-		return 0, 0, err
-	}
-	if err := acc.WeightLoad(nil, rand.New(rand.NewSource(7))); err != nil {
-		return 0, 0, err
-	}
-	samples := testutil.FlatSamples(16, 9)
-	ctx := context.Background()
-	const reps, iters = 5, 20
-
-	measure := func(cfg serve.Config, run func(*serve.Server) error) (time.Duration, error) {
-		s, err := serve.New(acc, cfg)
-		if err != nil {
-			return 0, err
-		}
-		defer s.Close()
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			for it := 0; it < iters; it++ {
-				if err := run(s); err != nil {
-					return 0, err
-				}
-			}
-			if d := time.Since(t0) / iters; d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	serialDur, err := measure(serve.Config{Replicas: 1, MaxBatch: 1, QueueCap: 32}, func(s *serve.Server) error {
-		for _, sm := range samples {
-			if _, err := s.Predict(ctx, sm.Input); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	batchedDur, err := measure(serve.Config{
-		Replicas: 1, MaxBatch: 16, MaxWait: 5 * time.Millisecond, QueueCap: 32,
-	}, func(s *serve.Server) error {
-		var wg sync.WaitGroup
-		errs := make([]error, len(samples))
-		for i, sm := range samples {
-			wg.Add(1)
-			go func(i int, x *tensor.Tensor) {
-				defer wg.Done()
-				_, errs[i] = s.Predict(ctx, x)
-			}(i, sm.Input)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return 16 / serialDur.Seconds(), 16 / batchedDur.Seconds(), nil
-}
-
-// runSmoke load-tests the scheduler offline. It is a thin wrapper over the
-// scenario-benchmark runner (internal/benchscenario): the flags become a
-// synthesized serve scenario with compare_serial on, so -smoke and the
-// checked-in benchmarks/scenarios/* exercise the exact same measurement
-// path — and BENCH_serve.json keeps its historical shape while gaining the
-// runner's provenance block.
-func runSmoke(acc *core.Accelerator, cfg serve.Config, samples []nn.Sample, n int, seed int64, out string) error {
+// runSmoke load-tests the scheduler offline. It computes every sample's
+// serial Replica.Infer reference, fires n Predicts at a server whose queue
+// holds all of them (at most smokeLanes in flight), and fails on any
+// response that is not bit-identical to its reference. Throughput and the
+// latency percentiles are measured from the calls.
+func runSmoke(acc *core.Accelerator, cfg serve.Config, samples []nn.Sample, n int) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("smoke: no samples")
 	}
-	eff := cfg.WithDefaults()
-	queue := eff.QueueCap
-	if queue < n {
-		queue = n
-	}
-	load := &benchscenario.LoadSpec{Pattern: benchscenario.PatternBurst, Requests: n}
-	if n > 4096 {
-		// A burst fires everything at once; beyond the validated lane cap,
-		// fall back to a wide closed loop.
-		load = &benchscenario.LoadSpec{Pattern: benchscenario.PatternSteady, Requests: n, Concurrency: 1024}
-	}
-	sc := benchscenario.Scenario{
-		Name:    "serve-smoke",
-		Kind:    benchscenario.KindServe,
-		Network: acc.Spec().Name,
-		Seed:    seed,
-		Serve: &benchscenario.ServeSpec{
-			Replicas:      eff.Replicas,
-			MaxBatch:      eff.MaxBatch,
-			MaxWaitMS:     float64(eff.MaxWait) / float64(time.Millisecond),
-			Queue:         queue,
-			Shards:        eff.Shards,
-			CompareSerial: true,
-		},
-		Load: load,
-	}
-	rep0, err := benchscenario.RunServeOn(context.Background(), acc, samples, sc, benchscenario.Options{
-		Metrics:    cfg.Metrics,
-		Flight:     cfg.Flight,
-		TraceDepth: cfg.TraceDepth,
-	})
+	ref, err := acc.NewReplica()
 	if err != nil {
 		return err
 	}
+	want := make([]*tensor.Tensor, len(samples))
+	for i, sm := range samples {
+		want[i] = ref.Infer(sm.Input)
+	}
+	cfg.QueueCap = max(cfg.WithDefaults().QueueCap, n)
+	s, err := serve.New(acc, cfg)
+	if err != nil {
+		return err
+	}
+
+	ctx := context.Background()
+	lat := make([]time.Duration, n)
+	errs := make([]error, n)
+	lanes := make(chan struct{}, smokeLanes)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		lanes <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer func() { <-lanes; wg.Done() }()
+			k := i % len(samples)
+			t0 := time.Now()
+			res, err := s.Predict(ctx, samples[k].Input)
+			lat[i] = time.Since(t0)
+			if err == nil && !bitIdentical(res, want[k]) {
+				err = fmt.Errorf("response differs from the serial reference of sample %d", k)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	if err := s.Close(); err != nil {
+		return err
+	}
+
+	identical := 0
+	var first error
+	for i, err := range errs {
+		if err == nil {
+			identical++
+		} else if first == nil {
+			first = fmt.Errorf("smoke: request %d: %w", i, err)
+		}
+	}
+	fmt.Printf("smoke     : %d of %d responses bit-identical to serial Replica.Infer\n", identical, n)
+	if first != nil {
+		return first
+	}
+	slices.Sort(lat)
+	pct := func(p float64) float64 {
+		return float64(lat[int(math.Ceil(p*float64(n)))-1]) / float64(time.Millisecond)
+	}
+	fmt.Printf("smoke     : %.0f req/s, p50 %.2f ms p90 %.2f ms p99 %.2f ms\n",
+		float64(n)/elapsed.Seconds(), pct(0.50), pct(0.90), pct(0.99))
 
 	if rec := cfg.Flight; rec.Enabled() {
 		checked, err := verifySpanSums(rec)
@@ -454,48 +382,22 @@ func runSmoke(acc *core.Accelerator, cfg serve.Config, samples []nn.Sample, n in
 		}
 		fmt.Printf("smoke     : %d traced requests decompose into queue+batch+compute spans (within 5%% of e2e)\n", checked)
 	}
-
-	benchSerial, benchBatched, err := pairedBench()
-	if err != nil {
-		return err
-	}
-
-	rep := benchReport{
-		Network:         acc.Spec().Name,
-		Requests:        n,
-		Replicas:        rep0.Provenance.Replicas,
-		MaxBatch:        rep0.Provenance.MaxBatch,
-		SerialRPS:       rep0.Metrics["serial_rps"],
-		BatchedRPS:      rep0.Metrics["rps"],
-		Speedup:         rep0.Metrics["speedup"],
-		P50Ms:           rep0.Metrics["p50_ms"],
-		P90Ms:           rep0.Metrics["p90_ms"],
-		P99Ms:           rep0.Metrics["p99_ms"],
-		BenchSerialRPS:  benchSerial,
-		BenchBatchedRPS: benchBatched,
-		BenchSpeedup:    benchBatched / benchSerial,
-		Provenance:      rep0.Provenance,
-	}
-	fmt.Printf("smoke     : %d requests bit-identical to serial\n", n)
-	fmt.Printf("smoke     : serial %.0f req/s, batched %.0f req/s (%.2fx), p50 %.2f ms p90 %.2f ms p99 %.2f ms\n",
-		rep.SerialRPS, rep.BatchedRPS, rep.Speedup, rep.P50Ms, rep.P90Ms, rep.P99Ms)
-	fmt.Printf("smoke     : tiny-net benchmark serial %.0f req/s, batched %.0f req/s (%.2fx at batch 16)\n",
-		rep.BenchSerialRPS, rep.BenchBatchedRPS, rep.BenchSpeedup)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("smoke     : report written to %s\n", out)
 	return nil
+}
+
+// bitIdentical reports whether a response carries exactly the reference's
+// scores, compared by IEEE-754 bits, and their argmax.
+func bitIdentical(res serve.Result, want *tensor.Tensor) bool {
+	if res.Scores == nil || res.Scores.Size() != want.Size() {
+		return false
+	}
+	for i := 0; i < want.Size(); i++ {
+		if math.Float64bits(res.Scores.At(i)) != math.Float64bits(want.At(i)) {
+			return false
+		}
+	}
+	_, class := want.Max()
+	return res.Class == class
 }
 
 // verifySpanSums checks the tracing contract on the recorded requests: each

@@ -13,7 +13,6 @@ var ctxflowPkgs = []string{
 	"internal/serve",
 	"internal/shard",
 	"internal/online",
-	"internal/benchscenario",
 }
 
 func isCtxflowPkg(path string) bool {
@@ -26,7 +25,7 @@ func isCtxflowPkg(path string) bool {
 }
 
 // AnalyzerCtxFlow forbids context.Background() and context.TODO() in the
-// request-path packages (serve, shard, online, benchscenario): a function on
+// request-path packages (serve, shard, online): a function on
 // the request path must thread the context it was handed, otherwise deadlines
 // and cancellation stop composing end-to-end — a canceled request would keep
 // computing, and a drain would wait on work nobody wants. Root contexts
@@ -34,7 +33,7 @@ func isCtxflowPkg(path string) bool {
 // Escape hatch: //pipelayer:allow-ctxflow <reason>.
 var AnalyzerCtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc: "request-path packages (serve, shard, online, benchscenario) must thread their incoming " +
+	Doc: "request-path packages (serve, shard, online) must thread their incoming " +
 		"context.Context; context.Background()/TODO() only in cmd/, test files, or annotated sites",
 	Run: runCtxFlow,
 }

@@ -1,162 +1,16 @@
+// Package benchscenario holds the run-environment stamp the repository
+// benchmark (perfbench/) prints at the top of every report: the build
+// identity and a host-speed calibration constant.
 package benchscenario
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"time"
 
 	"pipelayer/internal/telemetry"
 )
 
-// SchemaVersion is bumped whenever the report shape changes incompatibly;
-// the differ refuses to compare across versions.
-const SchemaVersion = 1
-
-// Provenance pins a report to the configuration and build that produced
-// it. The config half (scenario, kind, network, seed, workers, replicas,
-// max batch) must match between two reports for a diff to be meaningful —
-// the differ refuses otherwise. The build half (commit, go version,
-// timestamp) is *expected* to differ across commits; that is the point.
-type Provenance struct {
-	Scenario string `json:"scenario"`
-	Kind     string `json:"kind"`
-	Network  string `json:"network"`
-	Seed     int64  `json:"seed"`
-	Workers  int    `json:"workers"`
-	Replicas int    `json:"replicas,omitempty"`
-	MaxBatch int    `json:"max_batch,omitempty"`
-	// Shards is the layer-pipeline shard count of a sharded serve run (0 for
-	// the plain replicated backend). Part of the config half: a sharded and
-	// an unsharded run of the same scenario are not comparable.
-	Shards int `json:"shards,omitempty"`
-	// Pattern is the serve scenario's load pattern. The differ consults it:
-	// an overload run's shed fraction is timing-dependent by design, so its
-	// error_rate is reported but not gated.
-	Pattern string `json:"pattern,omitempty"`
-
-	telemetry.BuildInfo
-
-	// CalibMFLOPS is the host-speed calibration constant measured right
-	// before the suite ran (a fixed serial matmul's MFLOP/s). The differ
-	// divides timing metrics by it so a faster or slower host does not
-	// masquerade as a code-level speedup or regression.
-	CalibMFLOPS float64 `json:"calib_mflops,omitempty"`
-}
-
-// CompatibleWith reports whether two provenances describe the same
-// benchmark configuration — the gate the differ enforces before comparing
-// a single number.
-func (p Provenance) CompatibleWith(q Provenance) error {
-	mismatch := func(field string, a, b any) error {
-		return fmt.Errorf("provenance mismatch on %s: %v vs %v", field, a, b)
-	}
-	switch {
-	case p.Scenario != q.Scenario:
-		return mismatch("scenario", p.Scenario, q.Scenario)
-	case p.Kind != q.Kind:
-		return mismatch("kind", p.Kind, q.Kind)
-	case p.Network != q.Network:
-		return mismatch("network", p.Network, q.Network)
-	case p.Seed != q.Seed:
-		return mismatch("seed", p.Seed, q.Seed)
-	case p.Workers != q.Workers:
-		return mismatch("workers", p.Workers, q.Workers)
-	case p.Replicas != q.Replicas:
-		return mismatch("replicas", p.Replicas, q.Replicas)
-	case p.MaxBatch != q.MaxBatch:
-		return mismatch("max_batch", p.MaxBatch, q.MaxBatch)
-	case p.Shards != q.Shards:
-		return mismatch("shards", p.Shards, q.Shards)
-	case p.Pattern != q.Pattern:
-		return mismatch("pattern", p.Pattern, q.Pattern)
-	}
-	return nil
-}
-
-// Report is the uniform per-scenario result schema: every scenario kind
-// emits exactly this shape, so the differ and CI tooling never special-case
-// a scenario.
-type Report struct {
-	SchemaVersion int        `json:"schema_version"`
-	Provenance    Provenance `json:"provenance"`
-	// Metrics hold the scenario's headline numbers (rps, p50_ms/p90_ms/
-	// p99_ms, error_rate, acc_*...). Names determine how the differ gates
-	// them; see metricGate.
-	Metrics map[string]float64 `json:"metrics"`
-	// Telemetry is the scraped serve_* counter snapshot — raw material for
-	// regression forensics, reported but not gated.
-	Telemetry map[string]float64 `json:"telemetry,omitempty"`
-	// Noise records each timing metric's observed measurement spread across
-	// the run's repeats, as a fraction of the best value ((max-min)/best).
-	// The differ widens its threshold by the combined noise of the two runs
-	// being compared, so a gate tuned on a quiet host does not flake on a
-	// contended one — and a quiet host keeps the tight gate.
-	Noise map[string]float64 `json:"noise,omitempty"`
-	// Digest fingerprints the run's bit-exact outputs (FNV-1a over every
-	// response's class and score bits, in request order). Only emitted by
-	// deterministic runs (no-shed serve patterns and fault sweeps); the
-	// differ treats a digest change as a regression, because bit-identity
-	// is this repo's core contract.
-	Digest string `json:"output_digest,omitempty"`
-}
-
-// Suite aggregates one run of every scenario — the single-file artifact CI
-// caches, uploads, and diffs.
-type Suite struct {
-	SchemaVersion int      `json:"schema_version"`
-	Reports       []Report `json:"reports"`
-}
-
-// WriteFile writes indented JSON to path (0644).
-func (s Suite) WriteFile(path string) error {
-	return writeJSON(path, s)
-}
-
-// WriteFile writes the single report as indented JSON to path (0644) — the
-// per-scenario report.json.
-func (r Report) WriteFile(path string) error {
-	return writeJSON(path, r)
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("benchscenario: marshal %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadReports loads path as either a Suite or a single Report, returning
-// the reports in file order. Schema-version mismatches are refused here,
-// before any field is compared.
-func ReadReports(path string) ([]Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("benchscenario: %w", err)
-	}
-	var s Suite
-	if err := json.Unmarshal(data, &s); err == nil && len(s.Reports) > 0 {
-		if s.SchemaVersion != SchemaVersion {
-			return nil, fmt.Errorf("benchscenario: %s: suite schema v%d, this tool speaks v%d", path, s.SchemaVersion, SchemaVersion)
-		}
-		return s.Reports, nil
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("benchscenario: %s: not a suite or report: %w", path, err)
-	}
-	if r.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("benchscenario: %s: report schema v%d, this tool speaks v%d", path, r.SchemaVersion, SchemaVersion)
-	}
-	if r.Provenance.Scenario == "" {
-		return nil, fmt.Errorf("benchscenario: %s: report has no provenance.scenario", path)
-	}
-	return []Report{r}, nil
-}
-
-// Env is the run-wide provenance collected once per suite invocation: the
-// build identity and the host-speed calibration constant.
+// Env is the run-wide provenance collected once per benchmark invocation:
+// the build identity and the host-speed calibration constant.
 type Env struct {
 	Build       telemetry.BuildInfo
 	CalibMFLOPS float64
@@ -171,8 +25,8 @@ func CollectEnv() Env {
 // calibrate measures the host's serial float64 matmul rate on a fixed
 // 64×64×64 kernel, in MFLOP/s. It runs on one goroutine regardless of the
 // worker-pool size, so the constant tracks single-core speed — the main
-// axis hosts differ on — and the differ can compare rps-per-MFLOPS across
-// machines. Best of several short windows: background load on a shared host
+// axis hosts differ on — and a reader can tell a slow host from a slow
+// commit. Best of several short windows: background load on a shared host
 // only ever slows a window down, so the max is the host's real rate.
 func calibrate() float64 {
 	const n = 64

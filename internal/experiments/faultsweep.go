@@ -53,8 +53,8 @@ type FaultSweepRow struct {
 }
 
 // FaultSweepProvenance pins a BENCH_fault.json artifact to the build and
-// configuration that produced it, so two sweeps are never compared across
-// incompatible configs (the benchscenario differ refuses mismatches).
+// configuration that produced it, so two sweeps can be checked for
+// matching configs before they are compared.
 type FaultSweepProvenance struct {
 	telemetry.BuildInfo
 	Workers int   `json:"workers"`

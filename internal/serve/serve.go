@@ -79,8 +79,8 @@ type Config struct {
 	// ErrOverloaded.
 	QueueCap int
 	// Metrics, when non-nil, receives serve_* instruments: queue depth
-	// gauge, batch-size histogram, request latency span + histogram, and
-	// outcome counters.
+	// gauge, batch-size histogram, request latency histogram, and outcome
+	// counters.
 	Metrics *telemetry.Registry
 
 	// Flight, when non-nil, records every request's per-stage decomposition:
@@ -124,9 +124,9 @@ func (c Config) Sharded() bool { return c.Shards >= 2 || len(c.ShardRanges) >= 1
 
 // WithDefaults returns the config with every zero field replaced by its
 // documented default (one replica, batches of 16, 2 ms window, 64-deep
-// queue). New applies it automatically; external callers — the scenario
-// benchmark runner in particular — use it to record the *effective*
-// configuration in report provenance instead of zeros.
+// queue). New applies it automatically; external callers use it to read
+// the *effective* configuration instead of zeros (pipelayer-serve -smoke
+// sizes its queue from it).
 func (c Config) WithDefaults() Config {
 	if len(c.ShardRanges) > 0 {
 		c.Shards = len(c.ShardRanges)
@@ -265,7 +265,6 @@ type Server struct {
 
 	queueDepth  *telemetry.Gauge
 	batchSize   *telemetry.Histogram
-	latency     *telemetry.Span
 	latencyHist *telemetry.Histogram
 	queueWait   *telemetry.Histogram
 	batchWait   *telemetry.Histogram
@@ -350,7 +349,6 @@ func New(a *core.Accelerator, cfg Config) (*Server, error) {
 	if reg := cfg.Metrics; reg != nil {
 		s.queueDepth = reg.Gauge("serve_queue_depth")
 		s.batchSize = reg.Histogram("serve_batch_size", []float64{1, 2, 4, 8, 16, 32, 64})
-		s.latency = reg.Span("serve_request_seconds")
 		s.latencyHist = reg.Histogram("serve_request_latency_seconds", latencyBuckets)
 		s.requests = reg.Counter("serve_requests_total")
 		s.overloads = reg.Counter("serve_overloaded_total")
@@ -499,10 +497,15 @@ func (s *Server) Predict(ctx context.Context, x *tensor.Tensor) (Result, error) 
 	if err := checkFinite(x.Data()); err != nil {
 		return Result{}, err
 	}
-	if x.Rank() == 1 && len(s.spec.Layers) > 0 && s.spec.Layers[0].Kind != mapping.KindFC {
+	if len(s.spec.Layers) > 0 && s.spec.Layers[0].Kind != mapping.KindFC {
 		// HTTP clients send flat vectors; a conv front layer needs the
-		// (C,H,W) image. Reshape is a view — no copy.
-		x = x.Reshape(s.spec.InC, s.spec.InH, s.spec.InW)
+		// (C,H,W) image. Reshape is a view — no copy. Any other shape would
+		// reach a worker's Im2Col and panic there.
+		if x.Rank() == 1 {
+			x = x.Reshape(s.spec.InC, s.spec.InH, s.spec.InW)
+		} else if sh := x.Shape(); len(sh) != 3 || sh[0] != s.spec.InC || sh[1] != s.spec.InH || sh[2] != s.spec.InW {
+			return Result{}, fmt.Errorf("serve: input shape %v, want flat or (%d,%d,%d)", sh, s.spec.InC, s.spec.InH, s.spec.InW)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -689,9 +692,6 @@ func (s *Server) finish(r *request, y *tensor.Tensor, tBatch int64, version uint
 		s.observeSeconds(s.computeTime, tDone-tBatch)
 	}
 	r.done <- outcome{res: Result{Scores: y, Class: class, Trace: r.trace, Version: version}}
-	if s.latency != nil {
-		s.latency.Add(time.Since(r.enqueued))
-	}
 	if s.latencyHist != nil {
 		s.latencyHist.Observe(time.Since(r.enqueued).Seconds())
 	}

@@ -161,8 +161,8 @@ func TestServeLoad(t *testing.T) {
 	if reg.Histogram("serve_batch_size", nil).Count() == 0 {
 		t.Fatal("batch-size histogram never observed a batch")
 	}
-	if reg.Span("serve_request_seconds").Count() == 0 {
-		t.Fatal("latency span never recorded a request")
+	if reg.Histogram("serve_request_latency_seconds", nil).Count() == 0 {
+		t.Fatal("latency histogram never recorded a request")
 	}
 
 	if err := s.Close(); err != nil {
@@ -266,16 +266,19 @@ func TestServeWithFaultsDeterministic(t *testing.T) {
 
 // TestServeOverload stalls the workers behind a gate so the queue fills
 // deterministically: with total pipeline capacity bounded, surplus requests
-// must fail fast with ErrOverloaded, and every admitted request must still
-// complete once the gate lifts.
+// must fail fast with ErrOverloaded, every one of them is counted in
+// serve_overloaded_total, and every admitted request must still complete
+// once the gate lifts, bit-identical to the serial path.
 func TestServeOverload(t *testing.T) {
 	const attempts = 80
 	a := loadedAccel(t, nil)
-	xs := inputs(t, 1)
+	xs := inputs(t, 8)
+	want := serialReference(t, a, xs)
 	gate := make(chan struct{})
+	reg := telemetry.NewRegistry()
 	s, err := New(a, Config{
 		Replicas: 1, MaxBatch: 4, MaxWait: 50 * time.Millisecond, QueueCap: 4,
-		testHookBeforeBatch: func() { <-gate },
+		Metrics: reg, testHookBeforeBatch: func() { <-gate },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,20 +289,23 @@ func TestServeOverload(t *testing.T) {
 	overloaded, completed := 0, 0
 	for i := 0; i < attempts; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			_, err := s.Predict(context.Background(), xs[0])
+			res, err := s.Predict(context.Background(), xs[i%len(xs)])
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case err == nil:
 				completed++
+				if !tensor.Equal(res.Scores, want[i%len(xs)], 0) {
+					t.Errorf("request %d: admitted response diverged from the serial reference", i)
+				}
 			case errors.Is(err, ErrOverloaded):
 				overloaded++
 			default:
 				t.Errorf("unexpected error: %v", err)
 			}
-		}()
+		}(i)
 	}
 	// The pipeline holds at most QueueCap + 2×MaxBatch requests while gated
 	// (queue, the batcher's forming batch, the worker's stalled batch), so
@@ -331,6 +337,9 @@ func TestServeOverload(t *testing.T) {
 	}
 	if completed == 0 {
 		t.Fatal("every request was rejected; admitted requests must complete")
+	}
+	if got := reg.Counter("serve_overloaded_total").Value(); got != int64(overloaded) {
+		t.Fatalf("serve_overloaded_total = %d, want %d (one per ErrOverloaded)", got, overloaded)
 	}
 }
 
@@ -385,7 +394,10 @@ func TestServeCloseDrains(t *testing.T) {
 }
 
 // TestServeValidatesInput: nil and wrong-size inputs fail fast without
-// touching the queue.
+// touching the queue. A conv-front network takes a flat vector or exactly
+// its (C,H,W) image; a right-sized input of any other shape is refused
+// before it can reach a worker's Im2Col, on the replica backend and on the
+// sharded one.
 func TestServeValidatesInput(t *testing.T) {
 	a := loadedAccel(t, nil)
 	s, err := New(a, Config{})
@@ -398,6 +410,39 @@ func TestServeValidatesInput(t *testing.T) {
 	}
 	if _, err := s.Predict(context.Background(), tensor.New(3)); err == nil {
 		t.Fatal("wrong-size input accepted")
+	}
+
+	cnn := core.New(energy.DefaultModel())
+	if err := cnn.TopologySet(testutil.TinyDeepCNN("serve-cnn"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cnn.WeightLoad(nil, rand.New(rand.NewSource(5))); err != nil {
+		t.Fatal(err)
+	}
+	img := testutil.ImageSamples(1, 9)[0].Input
+	want := serialReference(t, cnn, []*tensor.Tensor{img})[0]
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("cnn/shards=%d", shards), func(t *testing.T) {
+			s, err := New(cnn, Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for _, shape := range [][]int{{28, 28}, {28, 28, 1}, {1, 1, 28, 28}} {
+				if _, err := s.Predict(context.Background(), img.Reshape(shape...)); err == nil {
+					t.Errorf("input of shape %v accepted", shape)
+				}
+			}
+			for _, x := range []*tensor.Tensor{img, img.Reshape(img.Size())} {
+				res, err := s.Predict(context.Background(), x)
+				if err != nil {
+					t.Fatalf("input of shape %v: %v", x.Shape(), err)
+				}
+				if !tensor.Equal(res.Scores, want, 0) {
+					t.Fatalf("input of shape %v: response diverged from the serial reference", x.Shape())
+				}
+			}
+		})
 	}
 }
 

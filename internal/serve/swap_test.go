@@ -16,6 +16,7 @@ import (
 
 	"pipelayer/internal/core"
 	"pipelayer/internal/energy"
+	"pipelayer/internal/telemetry"
 	"pipelayer/internal/tensor"
 	"pipelayer/internal/testutil"
 )
@@ -179,22 +180,34 @@ func TestOverloadPreservedMidSwap(t *testing.T) {
 		2: serialReference(t, m2, xs)[0],
 	}
 	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	reg := telemetry.NewRegistry()
 	s, err := New(m1, Config{
-		Replicas: 1, MaxBatch: 1, MaxWait: 50 * time.Millisecond, QueueCap: 2,
-		testHookBeforeBatch: func() { <-gate },
+		Replicas: 1, MaxBatch: 1, MaxWait: 50 * time.Millisecond, QueueCap: 2, Metrics: reg,
+		testHookBeforeBatch: func() {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-gate
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Saturate the pipeline: workers are gated, so admissions are bounded
-	// and surplus calls fail fast.
+	// Saturate the pipeline. With MaxBatch 1 it holds exactly QueueCap + 2
+	// requests while the worker is gated: one in the worker, one in the
+	// batcher's blocked hand-off and QueueCap in the queue. Fill it one
+	// stage at a time, so no later dequeue can free a slot, then send the
+	// surplus, which must all be shed.
 	const attempts = 20
+	const capacity = 2 + 2
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var completed []Result
 	overloadedBefore := 0
-	for i := 0; i < attempts; i++ {
+	send := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -211,20 +224,36 @@ func TestOverloadPreservedMidSwap(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until the queue is demonstrably full.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := overloadedBefore
-		mu.Unlock()
-		if n > 0 {
-			break
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
 	}
+	admitted := reg.Counter("serve_requests_total")
+	send()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the worker never parked on the gate")
+	}
+	send()
+	waitFor("the batcher to take the second request", func() bool { return admitted.Value() == 2 && len(s.queue) == 0 })
+	send()
+	send()
+	waitFor("the queue to fill", func() bool { return len(s.queue) == cap(s.queue) })
+	for i := capacity; i < attempts; i++ {
+		send()
+	}
+	waitFor("every surplus request to be shed", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return overloadedBefore == attempts-capacity
+	})
 
 	// Swap while saturated: it must succeed without touching the queue…
 	reps, err := m2.ReplicaSet(1)
@@ -244,6 +273,9 @@ func TestOverloadPreservedMidSwap(t *testing.T) {
 
 	close(gate)
 	wg.Wait()
+	if len(completed) != capacity {
+		t.Fatalf("%d requests completed, want the %d admitted", len(completed), capacity)
+	}
 	for i, res := range completed {
 		want, ok := refs[res.Version]
 		if !ok {

@@ -10,9 +10,9 @@ import (
 
 // BuildInfo identifies the build a benchmark artifact came from: the
 // commit, the Go toolchain, and the RFC3339 capture instant. Every
-// BENCH_*.json file and every benchscenario report embeds one, so two
-// artifacts can always be attributed to their producing commits — and a
-// differ can refuse to compare reports whose configurations disagree.
+// BENCH_*.json file embeds one and perfbench prints one at the top of its
+// report, so two artifacts can always be attributed to their producing
+// commits.
 type BuildInfo struct {
 	Commit     string `json:"commit"`
 	GoVersion  string `json:"go_version"`

@@ -17,18 +17,3 @@ func TestCollectBuildInfo(t *testing.T) {
 		t.Fatalf("captured_at %q is not RFC3339: %v", bi.CapturedAt, err)
 	}
 }
-
-func TestScrapeCounters(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("serve_requests_total").Add(3)
-	reg.Counter("serve_batches_total").Add(2)
-	reg.Counter("train_steps_total").Add(9)
-
-	got := reg.Snapshot().ScrapeCounters("serve_")
-	if len(got) != 2 {
-		t.Fatalf("ScrapeCounters = %v, want exactly the two serve_ counters", got)
-	}
-	if got["serve_requests_total"] != 3 || got["serve_batches_total"] != 2 {
-		t.Fatalf("ScrapeCounters = %v", got)
-	}
-}

@@ -74,21 +74,6 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// ScrapeCounters returns every counter whose name starts with prefix, as a
-// name→value map of float64s — the shape benchmark reports embed. The
-// benchscenario runner uses it to lift selected serve_* counters into each
-// scenario report without hand-listing instrument names; consumers that
-// need a stable order sort the keys.
-func (s Snapshot) ScrapeCounters(prefix string) map[string]float64 {
-	out := map[string]float64{}
-	for name, v := range s.Counters {
-		if strings.HasPrefix(name, prefix) {
-			out[name] = float64(v)
-		}
-	}
-	return out
-}
-
 // SpanSnapshot is one span's frozen state, in seconds.
 type SpanSnapshot struct {
 	Count        int64   `json:"count"`
