@@ -8,7 +8,7 @@ STATICCHECK_VERSION ?= 2025.1
 # go run pkg@version pattern as staticcheck).
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-shard race-online fault-smoke serve-smoke examples-smoke lint bench bench-smoke perfbench-smoke bench-regression clean
+.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-online fault-smoke serve-smoke examples-smoke lint bench bench-smoke perfbench-smoke bench-regression clean
 
 build:
 	$(GO) build ./...
@@ -87,18 +87,13 @@ race-telemetry:
 race-fault:
 	$(GO) test -race ./internal/fault/... ./internal/core/...
 
-# The serving layer is all concurrency: bounded queue, batcher, replica
-# workers, graceful drain. Its load/determinism/drain suite must hold under
-# the race detector.
+# The serving layer is all concurrency: bounded queue, batcher, workers
+# sharing one shard chain's replica pools, hot swaps, graceful drain. Its
+# load/determinism/drain suite and the chain's conformance matrix
+# (shards × workers × faults), chaos soak and backpressure tests must hold
+# under the race detector.
 race-serve:
-	$(GO) test -race ./internal/serve/...
-
-# The layer-sharded pipeline backend threads batches through bounded
-# inter-shard channels while swaps retire chains mid-flight; its conformance
-# matrix, chaos soak, backpressure and drain suites — plus the serve suite it
-# plugs into — must hold under the race detector.
-race-shard:
-	$(GO) test -race -count=1 ./internal/shard/... ./internal/serve/...
+	$(GO) test -race -count=1 ./internal/serve/... ./internal/shard/...
 
 # The train-while-serve supervisor hot-swaps weight versions into the live
 # serving replicas while requests are in flight; this suite — including the

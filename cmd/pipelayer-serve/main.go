@@ -51,8 +51,8 @@ func main() {
 	batch := flag.Int("batch", 10, "training batch size")
 	lr := flag.Float64("lr", 0.05, "training learning rate")
 	seed := flag.Int64("seed", 1, "random seed for weights and data")
-	replicas := flag.Int("replicas", 1, "inference replicas serving batches concurrently (with -shards: concurrent in-flight batches, default = shards)")
-	shards := flag.Int("shards", 0, "split the network into this many contiguous layer-range pipeline shards (0/1 = unsharded replicas); outputs stay bit-identical")
+	replicas := flag.Int("replicas", 0, "workers (batches in flight) and the total replica budget: one replica per shard, the rest to the costliest shard per replica (0 = one per shard)")
+	shards := flag.Int("shards", 0, "split the network into this many contiguous layer-range pipeline shards (0/1 = the whole network as one shard); outputs stay bit-identical")
 	maxBatch := flag.Int("max-batch", 16, "largest coalesced inference batch")
 	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "batching window for a partial batch")
 	queueCap := flag.Int("queue", 64, "request queue depth (full queue → 503)")
@@ -130,9 +130,6 @@ func main() {
 		Replicas: *replicas, MaxBatch: *maxBatch, MaxWait: *maxWait,
 		QueueCap: *queueCap, Shards: *shards, Metrics: reg,
 		Flight: rec, TraceDepth: *traceDepth,
-	}
-	if *shards >= 2 && *replicas <= 1 {
-		cfg.Replicas = 0 // let WithDefaults size the pipeline fill to the shard count
 	}
 
 	if *onlineMode {

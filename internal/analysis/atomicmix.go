@@ -186,10 +186,10 @@ func receiverNamed(pass *Pass, fd *ast.FuncDecl) *types.Named {
 }
 
 // fieldOwnerNamed returns the named type at the root of a field chain
-// (s.slots[i] → Server), or nil when the chain is rooted at a plain local —
-// a local copy of a slice of slots is still backed by the owner's array, but
-// attribution is the method that made the copy, which the analyzer already
-// checked at the copy site.
+// (s.slots[i] → the named type of s), or nil when the chain is rooted at a
+// plain local — a local copy of a slice of slots is still backed by the
+// owner's array, but attribution is the method that made the copy, which
+// the analyzer already checked at the copy site.
 func fieldOwnerNamed(pass *Pass, expr ast.Expr) *types.Named {
 	if _, isSel := indexFree(expr).(*ast.SelectorExpr); !isSel {
 		return nil // bare local (or copy): no field owner to attribute

@@ -7,11 +7,11 @@ import (
 )
 
 // AnalyzerDrainProto requires every `go` statement in the spawn-allowlisted
-// packages (internal/parallel, internal/serve, internal/shard,
-// internal/online — the same list gospawn exempts) to be tracked by a drain
-// protocol: either a sync.WaitGroup.Add call before the spawn whose Done runs
-// in the spawned function, or a done-channel the goroutine closes/sends on
-// that some Close/Wait method in the package receives from. An untracked
+// packages (internal/parallel, internal/serve, internal/online — the same
+// list gospawn exempts) to be tracked by a drain protocol: either a
+// sync.WaitGroup.Add call before the spawn whose Done runs in the spawned
+// function, or a done-channel the goroutine closes/sends on that some
+// Close/Wait method in the package receives from. An untracked
 // goroutine is exactly how drain regresses silently — Close returns while a
 // worker is still touching the backend, and the next Swap races it. The
 // spawned function is searched transitively (three call levels deep, same

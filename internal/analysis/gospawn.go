@@ -5,24 +5,22 @@ import (
 )
 
 // spawnExemptPkgs may use raw go statements: the worker pool, the serving
-// layer, the shard-chain pipeline, and the online-training supervisor are
-// the sanctioned concurrency owners, and cmd binaries own their process
-// lifetime.
+// layer and the online-training supervisor are the sanctioned concurrency
+// owners, and cmd binaries own their process lifetime.
 var spawnExemptPkgs = []string{
 	"internal/parallel",
 	"internal/serve",
-	"internal/shard",
 	"internal/online",
 }
 
 // AnalyzerGoSpawn forbids raw `go` statements outside internal/parallel,
-// internal/serve, internal/shard, internal/online, and cmd/. Everything else
+// internal/serve, internal/online, and cmd/. Everything else
 // must dispatch through the pool so fan-out stays bounded, deterministic
 // where required, and leak-checked. Escape hatch:
 // //pipelayer:allow-spawn <reason>.
 var AnalyzerGoSpawn = &Analyzer{
 	Name: "spawn",
-	Doc: "forbid raw go statements outside internal/parallel, internal/serve, internal/shard, internal/online, and cmd/ " +
+	Doc: "forbid raw go statements outside internal/parallel, internal/serve, internal/online, and cmd/ " +
 		"so all fan-out stays pool-governed and leak-checked",
 	Run: runGoSpawn,
 }
@@ -43,7 +41,7 @@ func runGoSpawn(pass *Pass) error {
 				return true
 			}
 			if !pass.Allowed(g.Pos(), "spawn") {
-				pass.Reportf(g.Pos(), "raw go statement outside internal/parallel, internal/serve, internal/shard, internal/online, and cmd/; "+
+				pass.Reportf(g.Pos(), "raw go statement outside internal/parallel, internal/serve, internal/online, and cmd/; "+
 					"dispatch through parallel.Pool so fan-out stays bounded and leak-checked, "+
 					"or annotate with //pipelayer:allow-spawn <reason>")
 			}

@@ -8,12 +8,12 @@ import (
 )
 
 // TestGoSpawn proves the analyzer forbids raw go statements in ordinary
-// packages, exempts internal/parallel-, internal/shard- and cmd/-shaped
-// import paths, enforces the reason on //pipelayer:allow-spawn, and still
-// flags a package merely *named* shard outside internal/ (the exemption
-// matches path segments, not package names).
+// packages and in internal/shard, exempts internal/parallel- and
+// cmd/-shaped import paths, enforces the reason on //pipelayer:allow-spawn,
+// and still flags a package merely *named* parallel outside internal/ (the
+// exemption matches path segments, not package names).
 func TestGoSpawn(t *testing.T) {
 	analysistest.Run(t, analysis.AnalyzerGoSpawn,
 		"gospawn/app", "gospawn/internal/parallel", "gospawn/internal/shard",
-		"gospawn/shard", "gospawn/cmd/app")
+		"gospawn/parallel", "gospawn/cmd/app")
 }

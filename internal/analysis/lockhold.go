@@ -233,8 +233,8 @@ func classifyLockCall(pass *Pass, call *ast.CallExpr) (lockEvent, bool) {
 		return lockEvent{}, false
 	}
 	// Backend forward calls block for as long as the pipeline takes (or until
-	// backpressure clears): Forward / ForwardContext / the batch-compute
-	// entry points must never run under a lock.
+	// backpressure clears): Forward and the other batch-compute entry points
+	// must never run under a lock.
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && strings.HasPrefix(fn.Name(), "Forward") {
 		return lockEvent{pos: call.Pos(), kind: evBlocking, what: "backend " + fn.Name() + " call"}, true
 	}

@@ -6,13 +6,13 @@ import "sync"
 
 func rawSpawn() {
 	done := make(chan struct{})
-	go func() { close(done) }() // want "raw go statement outside internal/parallel, internal/serve, internal/shard, internal/online, and cmd/"
+	go func() { close(done) }() // want "raw go statement outside internal/parallel, internal/serve, internal/online, and cmd/"
 	<-done
 }
 
 func spawnNamed(wg *sync.WaitGroup, f func()) {
 	wg.Add(1)
-	go f() // want "raw go statement outside internal/parallel, internal/serve, internal/shard, internal/online, and cmd/"
+	go f() // want "raw go statement outside internal/parallel, internal/serve, internal/online, and cmd/"
 }
 
 // annotated shows the escape hatch with and without a reason.

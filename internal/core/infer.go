@@ -75,10 +75,10 @@ func (r *Replica) Sub(lo, hi int) (*Replica, error) {
 	return &Replica{engines: engines, spec: r.spec}, nil
 }
 
-// Forward runs a batch through the replica and never errors; it exists so a
-// bare Replica satisfies the serving backend contract alongside the sharded
-// chain. A single-element batch takes the serial Infer path — bit-identical
-// to InferBatch by the batched kernel's contract, and cheaper.
+// Forward runs a batch through the replica and never errors; it is the
+// call a shard chain's stage makes on each of its replicas. A
+// single-element batch takes the serial Infer path — bit-identical to
+// InferBatch by the batched kernel's contract.
 func (r *Replica) Forward(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(xs) == 1 {
 		return []*tensor.Tensor{r.Infer(xs[0])}, nil

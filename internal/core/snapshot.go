@@ -74,20 +74,3 @@ func NewFromSnapshot(model energy.Model, spec networks.Spec, lambda float64, net
 	}
 	return a, nil
 }
-
-// ReplicaSet clones n inference replicas from the accelerator — the unit a
-// hot swap installs into the serving layer, one replica per worker.
-func (a *Accelerator) ReplicaSet(n int) ([]*Replica, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: replica set size %d must be >= 1", n)
-	}
-	reps := make([]*Replica, n)
-	for i := range reps {
-		r, err := a.NewReplica()
-		if err != nil {
-			return nil, err
-		}
-		reps[i] = r
-	}
-	return reps, nil
-}

@@ -92,24 +92,3 @@ func TestExportWeightsValidates(t *testing.T) {
 		t.Fatal("failed export mutated the target network")
 	}
 }
-
-func TestReplicaSet(t *testing.T) {
-	a := loadedAccel(t, testutil.TinyMLP("snap-rs"), 4, nil)
-	if _, err := a.ReplicaSet(0); err == nil {
-		t.Fatal("ReplicaSet(0) must error")
-	}
-	reps, err := a.ReplicaSet(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 3 {
-		t.Fatalf("got %d replicas, want 3", len(reps))
-	}
-	x := testutil.FlatSamples(1, 8)[0].Input
-	want := reps[0].Infer(x)
-	for i, r := range reps[1:] {
-		if !tensor.Equal(r.Infer(x), want, 0) {
-			t.Fatalf("replica %d diverged", i+1)
-		}
-	}
-}

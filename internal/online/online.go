@@ -172,13 +172,12 @@ func (c Config) withDefaults() Config {
 // goroutine (deterministic, test- and benchmark-friendly) or Start/Run the
 // background loop. Step is not safe for concurrent use — Run owns it.
 type Supervisor struct {
-	cfg      Config
-	serveCfg serve.Config // effective (defaulted) serving config
-	feed     Feed
-	store    *checkpoint.Store
-	trainer  *core.Accelerator
-	staging  *nn.Network // host network reused for export/save/load
-	srv      *serve.Server
+	cfg     Config
+	feed    Feed
+	store   *checkpoint.Store
+	trainer *core.Accelerator
+	staging *nn.Network // host network reused for export/save/load
+	srv     *serve.Server
 
 	// Training-loop state, owned by the goroutine driving Step.
 	baselineAcc float64
@@ -297,16 +296,15 @@ func New(feed Feed, cfg Config) (*Supervisor, error) {
 	}
 	s.baselineAcc = rep.Accuracy
 
-	s.serveCfg = cfg.Serve
-	if s.serveCfg.Metrics == nil {
-		s.serveCfg.Metrics = cfg.Metrics
+	serveCfg := cfg.Serve
+	if serveCfg.Metrics == nil {
+		serveCfg.Metrics = cfg.Metrics
 	}
-	if s.serveCfg.Flight == nil {
-		s.serveCfg.Flight = cfg.Flight
+	if serveCfg.Flight == nil {
+		serveCfg.Flight = cfg.Flight
 	}
-	s.serveCfg.InitialVersion = version
-	s.serveCfg = s.serveCfg.WithDefaults()
-	s.srv, err = serve.New(machine, s.serveCfg)
+	serveCfg.InitialVersion = version
+	s.srv, err = serve.New(machine, serveCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -466,14 +464,8 @@ func (s *Supervisor) promoteCandidate() error {
 		return nil
 	}
 
-	replicas, err := candidate.ReplicaSet(s.serveCfg.Replicas)
-	if err != nil {
-		s.count(s.mSwapFails)
-		s.rollback(v)
-		return nil
-	}
 	tSwap := s.flight.Now()
-	if err := s.srv.Swap(replicas, v); err != nil {
+	if err := s.srv.Swap(candidate, v); err != nil {
 		s.count(s.mSwapFails)
 		s.rollback(v)
 		return nil

@@ -449,11 +449,11 @@ func assertNoGoroutineLeaks(t *testing.T, base int) {
 }
 
 // TestOnlineShardedSwapSurvives: the supervisor's hot rollover works
-// unchanged when the serving layer runs the layer-sharded backend. Each
-// promotion goes through serve.Swap, which in sharded mode rebuilds the
-// shard chain from the candidate's weights and retires the old chain; every
-// response afterwards reports the promoted version and bit-matches that
-// version's checkpointed weights through the serial reference.
+// unchanged when the serving chain has two shards. Each promotion goes
+// through serve.Swap, which builds a chain of the same shape from the
+// candidate's weights; every response afterwards reports the promoted
+// version and bit-matches that version's checkpointed weights through the
+// serial reference.
 func TestOnlineShardedSwapSurvives(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := testConfig(t)

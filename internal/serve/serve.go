@@ -8,11 +8,13 @@
 // Architecture: Predict enqueues onto a bounded queue (backpressure surfaces
 // as ErrOverloaded, never blocking the caller); a single batcher goroutine
 // drains the queue and flushes a batch when it reaches MaxBatch or the oldest
-// request has waited MaxWait; replica workers — each owning a core.Replica
-// cloned from the trained machine — take whole batches from an unbuffered
-// dispatch channel and run one multi-column readout per weighted stage.
-// Close stops intake, flushes everything in flight, and joins every
-// goroutine: a clean drain, by construction.
+// request has waited MaxWait; workers take whole batches from an unbuffered
+// dispatch channel and carry each through one shared shard chain
+// (internal/shard): S layer-range stages, stage k a pool of g_k replicas
+// cloned from the trained machine, one multi-column readout per weighted
+// layer. Unsharded serving is the one-stage chain. Close stops intake,
+// flushes everything in flight, and joins every goroutine: a clean drain,
+// by construction.
 package serve
 
 import (
@@ -44,31 +46,26 @@ var (
 // Config tunes the batching scheduler. The zero value serves with one
 // replica, batches of up to 16, a 2 ms batching window, and a 64-deep queue.
 type Config struct {
-	// Replicas is the number of inference clones serving batches
-	// concurrently. Each replica shares the trained machine's programmed
-	// arrays but owns its activation state. In sharded mode (see Shards)
-	// there is a single shared shard chain instead of per-worker replicas;
-	// Replicas then sets the number of workers — the number of batches kept
-	// in flight, i.e. the pipeline fill — and defaults to Shards.
+	// Replicas is the number of workers — the batches in flight at once —
+	// and the shard chain's total replica budget (default max(Shards, 1)).
+	// Each replica shares the trained machine's programmed arrays but owns
+	// its activation state. Every shard gets one replica and each further
+	// one goes to the shard with the highest cost per replica, so an
+	// unsharded server runs Replicas whole-model replicas and a sharded one
+	// replicates its bottleneck shard.
 	Replicas int
-	// Shards, when >= 2, serves through a pipelined chain of contiguous
-	// layer-range shards (internal/shard) instead of whole-model replicas:
-	// shard k computes batch i+1 while shard k+1 computes batch i — the
-	// paper's Figure 6 inter-layer pipeline on the serving path. The layer
-	// partition is balanced automatically by per-layer compute cost
-	// (measured trainer telemetry in Metrics when complete, analytic MAC
-	// counts otherwise) and stays fixed across hot swaps. Outputs remain
-	// bit-identical to the unsharded path.
+	// Shards, when >= 2, splits the network into a pipelined chain of
+	// contiguous layer-range shards (internal/shard): shard k computes batch
+	// i+1 while shard k+1 computes batch i — the paper's Figure 6
+	// inter-layer pipeline on the serving path. 0 or 1 serve the whole
+	// network as one shard. The layer partition is balanced automatically
+	// by per-layer compute cost (measured trainer telemetry in Metrics when
+	// complete, analytic MAC counts otherwise) and stays fixed across hot
+	// swaps. Outputs remain bit-identical to the unsharded path.
 	Shards int
 	// ShardRanges assigns the layer partition explicitly (must tile the
-	// engine stack); non-empty ShardRanges enables sharded mode and
-	// overrides Shards.
+	// engine stack); non-empty ShardRanges overrides Shards.
 	ShardRanges []shard.Range
-	// ShardDepth bounds each shard's inbox (default 1): how many batches a
-	// shard may hold waiting beyond the one it is computing. Small values
-	// keep backpressure tight — a stalled shard stalls its upstream within
-	// one batch and the stall propagates to ErrOverloaded at admission.
-	ShardDepth int
 	// MaxBatch is the largest coalesced batch; a full batch flushes
 	// immediately.
 	MaxBatch int
@@ -87,7 +84,7 @@ type Config struct {
 	// serve_queue_wait (enqueue → batcher dequeue), serve_batch_wait
 	// (dequeue → worker batch start) and serve_compute (batch start →
 	// result) spans on the request track, plus a serve_batch span per
-	// executed batch on the owning replica's track. Adjacent spans share
+	// executed batch on the worker's track. Adjacent spans share
 	// their boundary timestamps, so the three stages sum to the recorded
 	// end-to-end latency exactly. The serve_queue_wait_seconds /
 	// serve_batch_wait_seconds / serve_compute_seconds histograms in Metrics
@@ -98,13 +95,13 @@ type Config struct {
 	// TraceDepth selects how deep the tracing reaches when Flight is set:
 	// 0 records request-stage spans only, 1 adds a core_layer_forward span
 	// per layer per batch, 2 additionally traces each crossbar readout
-	// (arch_readout_cols) on the replica's track.
+	// (arch_readout_cols), each on the computing replica's track.
 	TraceDepth int
 
 	// InitialVersion is the weight version the initial replicas serve as
 	// (defaults to 1). Every response is attributed to exactly one version:
-	// the one its batch's worker held when the batch started computing. Hot
-	// swaps install later versions via Swap.
+	// the one its batch's worker loaded when the batch started. Hot swaps
+	// install later versions via Swap.
 	InitialVersion uint64
 
 	// testHookBeforeBatch, settable only from this package's tests, runs in
@@ -119,25 +116,23 @@ type Config struct {
 	testHookBeforeShard func(int)
 }
 
-// Sharded reports whether the config selects the layer-sharded backend.
+// Sharded reports whether the config sets a layer partition: two or more
+// Shards, or explicit ShardRanges.
 func (c Config) Sharded() bool { return c.Shards >= 2 || len(c.ShardRanges) >= 1 }
 
 // WithDefaults returns the config with every zero field replaced by its
-// documented default (one replica, batches of 16, 2 ms window, 64-deep
-// queue). New applies it automatically; external callers use it to read
-// the *effective* configuration instead of zeros (pipelayer-serve -smoke
-// sizes its queue from it).
+// documented default (one replica per shard, batches of 16, 2 ms window,
+// 64-deep queue). New applies it automatically; external callers use it to
+// read the *effective* configuration instead of zeros (pipelayer-serve
+// -smoke sizes its queue from it).
 func (c Config) WithDefaults() Config {
 	if len(c.ShardRanges) > 0 {
 		c.Shards = len(c.ShardRanges)
 	}
-	if c.Sharded() && c.Replicas <= 0 {
+	if c.Replicas <= 0 {
 		// A pipeline only overlaps when several batches are in flight; one
 		// worker per shard is the natural fill.
-		c.Replicas = c.Shards
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 1
+		c.Replicas = max(c.Shards, 1)
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
@@ -183,7 +178,7 @@ func (r Readiness) String() string {
 // Trace is the flight-recorder trace id the request's spans are attributed
 // to (0 when tracing is off), for correlating a response with its span tree.
 // Version is the weight version that computed the scores — exactly one per
-// response, taken from the worker's replica snapshot at batch start, so a
+// response, taken from the chain the worker loaded at batch start, so a
 // response can never mix weights from two versions.
 type Result struct {
 	Scores  *tensor.Tensor
@@ -192,22 +187,11 @@ type Result struct {
 	Version uint64
 }
 
-// Backend computes whole batches for the workers. Two implementations:
-// *core.Replica (whole-model, one private backend per worker) and
-// *shard.Chain (layer-sharded pipeline, one backend shared by all workers —
-// safe because the chain is concurrent by design and pipelines the workers'
-// batches across its shards). Both produce bit-identical outputs to the
-// serial single-request path.
-type Backend interface {
-	Spec() networks.Spec
-	Forward(xs []*tensor.Tensor) ([]*tensor.Tensor, error)
-}
-
-// backendState pairs a backend with the weight version it was built from.
-// Workers load their slot's pointer once per batch, so a swap lands between
+// backendState pairs the serving chain with the weight version it was
+// built from. Workers load it once per batch, so a swap lands between
 // batches, never inside one.
 type backendState struct {
-	be      Backend
+	chain   *shard.Chain
 	version uint64
 }
 
@@ -240,19 +224,10 @@ type Server struct {
 	spec  networks.Spec // served geometry; Swap requires an identical spec
 	queue chan *request
 
-	// slots holds one atomically swappable backend+version per worker (in
-	// sharded mode every slot points at the same shared chain state);
-	// version mirrors the most recently installed version for reporting.
+	// state is the installed chain and its version, swapped atomically;
 	// readiness is the /healthz state (Readiness values).
-	slots     []atomic.Pointer[backendState]
-	version   atomic.Uint64
+	state     atomic.Pointer[backendState]
 	readiness atomic.Int32
-
-	// chainCfg is the pinned shard-chain construction recipe (resolved
-	// ranges included) so every hot swap rebuilds an identically
-	// partitioned chain; zero when unsharded.
-	chainCfg shard.Config
-	sharded  bool
 
 	mu     sync.RWMutex // guards closed against the queue close in Close
 	closed bool
@@ -285,55 +260,32 @@ var latencyBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// New builds the serving backend from the trained accelerator and starts the
-// scheduler. Unsharded, each worker owns a whole-model replica; with
-// cfg.Shards >= 2 (or explicit ShardRanges) one layer-sharded chain is built
-// and shared by every worker. The accelerator must have weights loaded
+// New builds the serving chain from the trained accelerator and starts the
+// scheduler: cfg.Shards layer-range shards (one when unsharded) sharing a
+// budget of cfg.Replicas replicas, and cfg.Replicas workers carrying
+// batches through it. The accelerator must have weights loaded
 // (NewReplica's requirement); it is not otherwise touched, so training-side
 // state stays where it was.
 func New(a *core.Accelerator, cfg Config) (*Server, error) {
 	cfg = cfg.WithDefaults()
-	var (
-		replicas []*core.Replica
-		chain    *shard.Chain
-		chainCfg shard.Config
-	)
-	if cfg.Sharded() {
-		rep, err := a.NewReplica()
-		if err != nil {
-			return nil, err
-		}
-		chainCfg = shard.Config{
-			Shards:      cfg.Shards,
-			Ranges:      cfg.ShardRanges,
-			Depth:       cfg.ShardDepth,
-			Metrics:     cfg.Metrics,
-			Flight:      cfg.Flight,
-			TrackBase:   1, // track 0 is the request lane
-			TraceDepth:  cfg.TraceDepth,
-			BeforeStage: cfg.testHookBeforeShard,
-		}
-		// Resolve the partition once and pin it: hot swaps rebuild the
-		// chain for new weights, and the shard boundaries must not drift
-		// with whatever telemetry has accumulated by then.
-		ranges, err := shard.ResolveRanges(rep, chainCfg)
-		if err != nil {
-			return nil, err
-		}
-		chainCfg.Ranges = ranges
-		chainCfg.Shards = len(ranges)
-		if chain, err = shard.New(rep, chainCfg); err != nil {
-			return nil, err
-		}
-	} else {
-		replicas = make([]*core.Replica, cfg.Replicas)
-		for i := range replicas {
-			r, err := a.NewReplica()
-			if err != nil {
-				return nil, err
-			}
-			replicas[i] = r
-		}
+	rep, err := a.NewReplica()
+	if err != nil {
+		return nil, err
+	}
+	// Track 0 is the request lane and worker i owns track i+1; the chain's
+	// replicas take the tracks above the workers.
+	chain, err := shard.New(rep, shard.Config{
+		Shards:      cfg.Shards,
+		Ranges:      cfg.ShardRanges,
+		Replicas:    cfg.Replicas,
+		Metrics:     cfg.Metrics,
+		Flight:      cfg.Flight,
+		TrackBase:   uint64(cfg.Replicas) + 1,
+		TraceDepth:  cfg.TraceDepth,
+		BeforeStage: cfg.testHookBeforeShard,
+	})
+	if err != nil {
+		return nil, err
 	}
 	spec := a.Spec()
 	s := &Server{
@@ -343,8 +295,6 @@ func New(a *core.Accelerator, cfg Config) (*Server, error) {
 		queue:       make(chan *request, cfg.QueueCap),
 		beforeBatch: cfg.testHookBeforeBatch,
 		flight:      cfg.Flight,
-		chainCfg:    chainCfg,
-		sharded:     chain != nil,
 	}
 	if reg := cfg.Metrics; reg != nil {
 		s.queueDepth = reg.Gauge("serve_queue_depth")
@@ -368,112 +318,64 @@ func New(a *core.Accelerator, cfg Config) (*Server, error) {
 	if s.flight.Enabled() {
 		s.flight.SetTrackName(flight.TrackRequests, "requests")
 	}
-	s.version.Store(cfg.InitialVersion)
+	s.state.Store(&backendState{chain: chain, version: cfg.InitialVersion})
 	s.gauge(s.weightVer, float64(cfg.InitialVersion))
 
 	dispatch := make(chan []*request) // unbuffered: the batcher feels worker backpressure
 	s.wg.Add(1)
 	go s.batcher(dispatch)
-	s.slots = make([]atomic.Pointer[backendState], cfg.Replicas)
-	if s.sharded {
-		// One shared chain state behind every slot. The chain owns tracks
-		// 1..S; worker i records its serve_batch spans on track S+1+i so
-		// per-shard and per-worker timelines stay distinct in the export.
-		st := &backendState{be: chain, version: cfg.InitialVersion}
-		for i := range s.slots {
-			track := uint64(chain.Shards()) + uint64(i) + 1
-			if s.flight.Enabled() {
-				s.flight.SetTrackName(track, fmt.Sprintf("worker %d", i))
-			}
-			s.slots[i].Store(st)
-			s.wg.Add(1)
-			go s.worker(i, track, dispatch)
-		}
-		return s, nil
-	}
-	for i, r := range replicas {
-		// Track 0 is the request lane; replica i owns track i+1.
+	for i := range cfg.Replicas {
 		track := uint64(i) + 1
 		if s.flight.Enabled() {
-			s.flight.SetTrackName(track, fmt.Sprintf("replica %d", i))
-			r.AttachFlight(s.flight, track, cfg.TraceDepth)
+			s.flight.SetTrackName(track, fmt.Sprintf("worker %d", i))
 		}
-		s.slots[i].Store(&backendState{be: r, version: cfg.InitialVersion})
 		s.wg.Add(1)
-		go s.worker(i, track, dispatch)
+		go s.worker(track, dispatch)
 	}
 	return s, nil
 }
 
-// Swap atomically installs a new replica set as the given weight version:
-// each worker slot's pointer is replaced, so batches already computing
-// finish on their old replica (and report its version) while every
-// subsequent batch runs the new one. No request is dropped, delayed, or
-// torn — the queue and batcher are untouched. The replicas must serve the
-// same network spec and match the slot count (one per worker); they should be
-// freshly built from a weight snapshot (core.NewFromSnapshot + ReplicaSet),
-// not clones of a machine still training.
-func (s *Server) Swap(replicas []*core.Replica, version uint64) error {
-	if len(replicas) != len(s.slots) {
-		return fmt.Errorf("serve: swap with %d replicas, server has %d worker slots", len(replicas), len(s.slots))
+// Swap installs the accelerator's weights as the given version: it builds a
+// chain of the installed one's shape — the same ranges and per-shard replica
+// counts — from a fresh replica of a, then publishes it with one atomic
+// store. Workers load the chain once per batch, so batches already in
+// flight finish on the old chain and report the old version while every
+// later batch runs the new one; Swap waits for neither. No request is
+// dropped, delayed or torn — the queue and batcher are untouched. a must
+// serve the same network spec and should be built from a weight snapshot
+// (core.NewFromSnapshot), not be a machine still training.
+func (s *Server) Swap(a *core.Accelerator, version uint64) error {
+	if a == nil {
+		return errors.New("serve: swap to a nil accelerator")
 	}
 	if version == 0 {
 		return errors.New("serve: swap to version 0")
 	}
-	for i, r := range replicas {
-		if r == nil {
-			return fmt.Errorf("serve: swap replica %d is nil", i)
-		}
-		if !reflect.DeepEqual(r.Spec(), s.spec) {
-			return fmt.Errorf("serve: swap replica %d serves spec %q, server serves %q — the topology must not change across versions",
-				i, r.Spec().Name, s.spec.Name)
-		}
+	if !reflect.DeepEqual(a.Spec(), s.spec) {
+		return fmt.Errorf("serve: swap serves spec %q, server serves %q — the topology must not change across versions",
+			a.Spec().Name, s.spec.Name)
+	}
+	rep, err := a.NewReplica()
+	if err != nil {
+		return err
+	}
+	chain, err := s.state.Load().chain.Rebuild(rep)
+	if err != nil {
+		return err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if s.sharded {
-		// Rebuild the chain from the first replica using the pinned
-		// partition, point every slot at it, then retire the old chain.
-		// Retiring drains: batches already inside the old chain finish and
-		// report their old version; a worker that loaded the old state just
-		// before the swap gets ErrClosed from the retired chain and retries
-		// on the freshly loaded slot. No request is dropped or torn.
-		chain, err := shard.New(replicas[0], s.chainCfg)
-		if err != nil {
-			return err
-		}
-		old := s.slots[0].Load()
-		st := &backendState{be: chain, version: version}
-		for i := range s.slots {
-			s.slots[i].Store(st)
-		}
-		s.version.Store(version)
-		s.gauge(s.weightVer, float64(version))
-		s.count(s.swaps)
-		if c, ok := old.be.(*shard.Chain); ok {
-			//pipelayer:allow-errdrop retiring the replaced chain after the swap committed; Close on a quiesced chain only errors on double-close, and failing the successful Swap for it would un-publish weights already serving
-			c.Close()
-		}
-		return nil
-	}
-	for i, r := range replicas {
-		track := uint64(i) + 1
-		if s.flight.Enabled() {
-			r.AttachFlight(s.flight, track, s.cfg.TraceDepth)
-		}
-		s.slots[i].Store(&backendState{be: r, version: version})
-	}
-	s.version.Store(version)
+	s.state.Store(&backendState{chain: chain, version: version})
 	s.gauge(s.weightVer, float64(version))
 	s.count(s.swaps)
 	return nil
 }
 
 // Version returns the most recently installed weight version.
-func (s *Server) Version() uint64 { return s.version.Load() }
+func (s *Server) Version() uint64 { return s.state.Load().version }
 
 // SetReadiness publishes the health state /healthz reports; the online
 // supervisor calls this on Lagging/Pinned transitions.
@@ -613,17 +515,17 @@ func (s *Server) noteDequeued(r *request) {
 	s.flight.RecordAt("serve_queue_wait", r.trace, flight.TrackRequests, r.tEnq, r.tDeq, 0)
 }
 
-// worker serves whole batches on its slot's replica. The slot pointer is
-// read once per batch, so a concurrent Swap takes effect at the next batch
+// worker carries whole batches through the installed chain. The chain is
+// loaded once per batch, so a concurrent Swap takes effect at the next batch
 // boundary: every request in a batch is computed by, and attributed to,
 // exactly one weight version. Requests whose context died in the queue are
 // answered with their context error and excluded from the readout; a batch
 // that shrinks to one request takes the serial single-request path
 // (identical bits, no packing overhead).
-func (s *Server) worker(slot int, track uint64, dispatch <-chan []*request) {
+func (s *Server) worker(track uint64, dispatch <-chan []*request) {
 	defer s.wg.Done()
 	for batch := range dispatch {
-		st := s.slots[slot].Load()
+		st := s.state.Load()
 		if s.beforeBatch != nil {
 			s.beforeBatch()
 		}
@@ -653,16 +555,7 @@ func (s *Server) worker(slot int, track uint64, dispatch <-chan []*request) {
 		for i, r := range live {
 			xs[i] = r.x
 		}
-		ys, err := st.be.Forward(xs)
-		// ErrClosed from a retired shard chain means a hot swap landed
-		// between loading the slot and the call: reload the slot — the swap
-		// installed the replacement before retiring the old chain — and
-		// recompute on the new version. Bounded, because only a swap can
-		// retire a chain out from under a live worker.
-		for attempt := 0; err != nil && errors.Is(err, shard.ErrClosed) && attempt < 4; attempt++ {
-			st = s.slots[slot].Load()
-			ys, err = st.be.Forward(xs)
-		}
+		ys, err := st.chain.Forward(xs)
 		if err != nil {
 			for _, r := range live {
 				r.done <- outcome{err: err}
@@ -720,15 +613,6 @@ func (s *Server) Close() error {
 	close(s.queue)
 	s.mu.Unlock()
 	s.wg.Wait()
-	// In sharded mode the workers share one chain; retire it after they all
-	// exited so its shard goroutines are joined too. Chains replaced by
-	// earlier swaps were already retired by Swap.
-	if st := s.slots[0].Load(); st != nil {
-		if c, ok := st.be.(*shard.Chain); ok {
-			//pipelayer:allow-errdrop the workers are already joined, so the chain is idle and its Close can only report double-close; Server.Close's contract is that the first close returns nil once the drain finished
-			c.Close()
-		}
-	}
 	return nil
 }
 

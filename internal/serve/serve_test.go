@@ -396,8 +396,8 @@ func TestServeCloseDrains(t *testing.T) {
 // TestServeValidatesInput: nil and wrong-size inputs fail fast without
 // touching the queue. A conv-front network takes a flat vector or exactly
 // its (C,H,W) image; a right-sized input of any other shape is refused
-// before it can reach a worker's Im2Col, on the replica backend and on the
-// sharded one.
+// before it can reach a worker's Im2Col, on a one-shard chain and on a
+// two-shard one.
 func TestServeValidatesInput(t *testing.T) {
 	a := loadedAccel(t, nil)
 	s, err := New(a, Config{})
@@ -447,8 +447,8 @@ func TestServeValidatesInput(t *testing.T) {
 }
 
 // TestServeRejectsNonFiniteInput: NaN and ±Inf are refused by Predict, the
-// embedded entry point, as the HTTP decoder refuses them — on the replica
-// backend and on the sharded one — and never reach a worker. Served, they
+// embedded entry point, as the HTTP decoder refuses them — on a one-shard
+// chain and on a two-shard one — and never reach a worker. Served, they
 // come back without an error as a wrong class or as NaN scores.
 func TestServeRejectsNonFiniteInput(t *testing.T) {
 	for _, shards := range []int{0, 2} {

@@ -1,9 +1,10 @@
 package serve
 
-// Backpressure and cancellation tests for the layer-sharded backend: a
-// stalled tail shard must surface as ErrOverloaded at admission — bounded
-// inter-shard buffers, a blocked worker, a stalled batcher, a full queue —
-// and canceled in-flight requests must never wedge the chain.
+// Backpressure, cancellation and swap tests for the layer-sharded chain: a
+// stalled tail shard must surface as ErrOverloaded at admission — workers
+// waiting on the shard's replica pool, a stalled batcher, a full queue —
+// canceled in-flight requests must never wedge the chain, and a swap must
+// not wait for a stalled batch.
 
 import (
 	"context"
@@ -17,6 +18,7 @@ import (
 
 	"pipelayer/internal/core"
 	"pipelayer/internal/energy"
+	"pipelayer/internal/tensor"
 	"pipelayer/internal/testutil"
 )
 
@@ -35,10 +37,10 @@ func loadedAccelSeed(t testing.TB, seed int64) *core.Accelerator {
 }
 
 // TestShardedStalledTailSurfacesOverload: stall the tail shard and keep
-// submitting. The stall propagates backwards — bounded shard inboxes, the
-// worker blocked in the chain, the unbuffered dispatch, the batcher — until
-// the intake queue fills and Predict fails fast with ErrOverloaded. After
-// the stall clears, everything admitted completes bit-identically.
+// submitting. The stall propagates backwards — the worker holding the tail
+// shard's only replica, the unbuffered dispatch, the batcher — until the
+// intake queue fills and Predict fails fast with ErrOverloaded. After the
+// stall clears, everything admitted completes bit-identically.
 func TestShardedStalledTailSurfacesOverload(t *testing.T) {
 	base := runtime.NumGoroutine()
 	a := loadedAccel(t, nil)
@@ -65,7 +67,7 @@ func TestShardedStalledTailSurfacesOverload(t *testing.T) {
 	stalled.Store(true)
 
 	// More submitters than the whole pipeline can hold: queue(4) + batcher +
-	// worker + chain inboxes. The surplus must be shed, not buffered.
+	// worker. The surplus must be shed, not buffered.
 	const submitters = 24
 	errs := make([]error, submitters)
 	scores := make([][]float64, submitters)
@@ -191,9 +193,9 @@ func TestShardedCancellationDoesNotWedge(t *testing.T) {
 	assertNoGoroutineLeaks(t, base)
 }
 
-// TestShardedSwapBasic: a hot swap onto a sharded server retires the old
-// chain and installs the new weights; the next response reports the new
-// version and bit-matches the new machine's serial path.
+// TestShardedSwapBasic: a hot swap onto a sharded server installs a chain
+// of the new weights; the next response reports the new version and
+// bit-matches the new machine's serial path.
 func TestShardedSwapBasic(t *testing.T) {
 	base := runtime.NumGoroutine()
 	a := loadedAccel(t, nil)
@@ -219,11 +221,7 @@ func TestShardedSwapBasic(t *testing.T) {
 		}
 	}
 
-	reps, err := b.ReplicaSet(s.cfg.Replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Swap(reps, 2); err != nil {
+	if err := s.Swap(b, 2); err != nil {
 		t.Fatal(err)
 	}
 	res, err = s.Predict(context.Background(), xs[1])
@@ -237,6 +235,88 @@ func TestShardedSwapBasic(t *testing.T) {
 		if v != wantB[1].Data()[j] {
 			t.Fatalf("post-swap score %d: %v != %v", j, v, wantB[1].Data()[j])
 		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertNoGoroutineLeaks(t, base)
+}
+
+// TestShardedSwapDoesNotWaitForStalledStage: a swap while a request is
+// stalled inside shard 1 returns at once — nothing retires or drains the
+// old chain — and the stalled request, once released, completes on the old
+// chain with version 1 and the serial reference's bits.
+func TestShardedSwapDoesNotWaitForStalledStage(t *testing.T) {
+	base := runtime.NumGoroutine()
+	a := loadedAccel(t, nil)
+	b := loadedAccelSeed(t, 123)
+	xs := inputs(t, 1)
+	want := serialReference(t, a, xs)[0]
+
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var stalled atomic.Bool
+	s, err := New(a, Config{
+		Shards:   2,
+		MaxBatch: 1,
+		MaxWait:  100 * time.Microsecond,
+		QueueCap: 4,
+		testHookBeforeShard: func(k int) {
+			if k == 1 && stalled.Load() {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				<-gate
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled.Store(true)
+	type reply struct {
+		res Result
+		err error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		res, err := s.Predict(context.Background(), xs[0])
+		done <- reply{res, err}
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request never reached shard 1")
+	}
+
+	swapped := make(chan error, 1)
+	go func() { swapped <- s.Swap(b, 2) }()
+	select {
+	case err := <-swapped:
+		if err != nil {
+			t.Fatalf("swap: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		stalled.Store(false)
+		close(gate)
+		t.Fatal("Swap still blocked after 2s")
+	}
+	if v := s.Version(); v != 2 {
+		t.Fatalf("Version() = %d after the swap, want 2", v)
+	}
+
+	stalled.Store(false)
+	close(gate)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("stalled request: %v", r.err)
+	}
+	if r.res.Version != 1 {
+		t.Fatalf("stalled request reports version %d, want 1", r.res.Version)
+	}
+	if !tensor.Equal(r.res.Scores, want, 0) {
+		t.Fatal("stalled request diverged from the version 1 serial reference")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -86,15 +86,11 @@ func TestSwapZeroDowntimeUnderLoad(t *testing.T) {
 
 	for v := uint64(2); v <= 4; v++ {
 		time.Sleep(3 * time.Millisecond)
-		reps, err := machines[v].ReplicaSet(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Swap(reps, v); err != nil {
+		if err := s.Swap(machines[v], v); err != nil {
 			t.Fatalf("swap to v%d: %v", v, err)
 		}
 		// A post-swap request is served by the new version: workers load
-		// their slot at the next batch boundary.
+		// the chain at the next batch boundary.
 		res, err := s.Predict(context.Background(), xs[0])
 		if err != nil {
 			t.Fatal(err)
@@ -127,16 +123,10 @@ func TestSwapValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := machineWithSeed(t, 2).ReplicaSet(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := machineWithSeed(t, 2)
 
-	if err := s.Swap(good[:1], 2); err == nil {
-		t.Fatal("swap with wrong replica count must error")
-	}
-	if err := s.Swap([]*core.Replica{good[0], nil}, 2); err == nil {
-		t.Fatal("swap with nil replica must error")
+	if err := s.Swap(nil, 2); err == nil {
+		t.Fatal("swap to a nil accelerator must error")
 	}
 	if err := s.Swap(good, 0); err == nil {
 		t.Fatal("swap to version 0 must error")
@@ -150,11 +140,7 @@ func TestSwapValidation(t *testing.T) {
 	if err := cnn.WeightLoad(nil, rand.New(rand.NewSource(3))); err != nil {
 		t.Fatal(err)
 	}
-	wrong, err := cnn.ReplicaSet(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Swap(wrong, 2); err == nil {
+	if err := s.Swap(cnn, 2); err == nil {
 		t.Fatal("swap with mismatched input size must error")
 	}
 
@@ -256,11 +242,7 @@ func TestOverloadPreservedMidSwap(t *testing.T) {
 	})
 
 	// Swap while saturated: it must succeed without touching the queue…
-	reps, err := m2.ReplicaSet(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Swap(reps, 2); err != nil {
+	if err := s.Swap(m2, 2); err != nil {
 		t.Fatalf("swap under overload: %v", err)
 	}
 	// …and backpressure still holds mid-swap.
@@ -346,11 +328,7 @@ func TestHTTPWeightVersionHeader(t *testing.T) {
 	if got := w.Header().Get(WeightVersionHeader); got != "1" {
 		t.Fatalf("%s = %q, want 1", WeightVersionHeader, got)
 	}
-	reps, err := m2.ReplicaSet(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Swap(reps, 7); err != nil {
+	if err := s.Swap(m2, 7); err != nil {
 		t.Fatal(err)
 	}
 	w = postJSON(t, h, "/predict", body)

@@ -84,34 +84,39 @@ func faultConfigs() []struct {
 	}
 }
 
-// TestShardedServeConformance sweeps shards {1, 2, 3, all-layers} × pool
-// workers {1, 2, 7, GOMAXPROCS} × fault configs {none, remap,
-// remap+degrade}: every response from the sharded server must bit-match the
-// serial single-request reference of the same machine. shards=1 runs the
-// chain-of-one via an explicit full-stack range, so the chain machinery
-// itself — not just the plain-replica fallback — is covered at every point.
+// TestShardedServeConformance sweeps chain shapes × pool workers {1, 2, 7,
+// GOMAXPROCS} × fault configs {none, remap, remap+degrade}: every response
+// from the server must bit-match the serial single-request reference of the
+// same machine. The shapes are shards {1, 2, 3, all-layers} at one replica
+// per shard, and shards=2 with a budget of 3 replicas, which replicates the
+// bottleneck shard: g = (1, 2) on this net. shards=1 takes its full-stack
+// range explicitly, so the explicit-range path is covered at every point.
 func TestShardedServeConformance(t *testing.T) {
 	const n = 16
 	saved := parallel.Workers()
 	defer parallel.SetWorkers(saved)
 
 	engines := 5 // TinyDeepCNN: conv, pool, conv, pool, fc
-	shardCounts := []int{1, 2, 3, engines}
+	shapes := []struct{ shards, replicas int }{{1, 0}, {2, 0}, {3, 0}, {engines, 0}, {2, 3}}
 	workerCounts := []int{1, 2, 7, runtime.GOMAXPROCS(0)}
 
 	for _, fc := range faultConfigs() {
 		a := loadedCNN(t, fc.inj)
 		xs := cnnInputs(t, n)
 		want := serialReference(t, a, xs)
-		for _, shards := range shardCounts {
+		for _, sh := range shapes {
+			shape := fmt.Sprintf("shards=%d", sh.shards)
+			if sh.replicas > 0 {
+				shape += fmt.Sprintf("/replicas=%d", sh.replicas)
+			}
 			for _, workers := range workerCounts {
-				t.Run(fmt.Sprintf("faults=%s/shards=%d/workers=%d", fc.name, shards, workers), func(t *testing.T) {
+				t.Run(fmt.Sprintf("faults=%s/%s/workers=%d", fc.name, shape, workers), func(t *testing.T) {
 					parallel.SetWorkers(workers)
-					cfg := serve.Config{MaxBatch: 4, MaxWait: 200 * time.Microsecond, QueueCap: n}
-					if shards == 1 {
+					cfg := serve.Config{Replicas: sh.replicas, MaxBatch: 4, MaxWait: 200 * time.Microsecond, QueueCap: n}
+					if sh.shards == 1 {
 						cfg.ShardRanges = []shard.Range{{Lo: 0, Hi: engines}}
 					} else {
-						cfg.Shards = shards
+						cfg.Shards = sh.shards
 					}
 					s, err := serve.New(a, cfg)
 					if err != nil {

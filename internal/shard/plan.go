@@ -1,11 +1,12 @@
 // Package shard splits a trained core.Replica into contiguous layer-range
-// shards and streams batches through the shard chain: shard k computes batch
+// shards and runs batches through the shard chain: shard k computes batch
 // i+1 while shard k+1 computes batch i — the paper's Figure 6 inter-layer
 // pipeline lifted out of the cycle simulator into the real serving path.
-// Each shard owns its own accelerator clone (core.Replica.Sub), inter-shard
-// hand-off happens over bounded channels, and the chain's outputs stay
-// bit-identical to the unsharded path because every shard runs the very same
-// forwardBatch kernels the whole-model replica would.
+// Each shard is a pool of accelerator clones (core.Replica.Sub), sized by
+// the paper's replication factor G (§3.2.3) under a total replica budget;
+// a caller carries its batch from pool to pool. The chain's outputs stay
+// bit-identical to the unsharded path because every shard runs the very
+// same kernels the whole-model replica would.
 package shard
 
 import (
@@ -120,4 +121,27 @@ func MeasuredCosts(snap telemetry.Snapshot, engines int) ([]float64, bool) {
 		costs[i] = sp.TotalSeconds
 	}
 	return costs, true
+}
+
+// stageReplicas spreads a budget of replicas over shards with the given
+// costs. Every shard gets one; each further replica goes to the shard with
+// the highest cost per replica, ties to the earliest. A budget at or below
+// the shard count therefore gives one replica per shard, a one-shard chain
+// gets the whole budget, and all-zero costs send every extra replica to
+// shard 0.
+func stageReplicas(costs []float64, budget int) []int {
+	g := make([]int, len(costs))
+	for k := range g {
+		g[k] = 1
+	}
+	for n := len(costs); n < budget; n++ {
+		best := 0
+		for k := 1; k < len(costs); k++ {
+			if costs[k]/float64(g[k]) > costs[best]/float64(g[best]) {
+				best = k
+			}
+		}
+		g[best]++
+	}
+	return g
 }

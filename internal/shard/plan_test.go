@@ -148,3 +148,31 @@ func TestMeasuredCosts(t *testing.T) {
 		t.Fatal("partial telemetry reported ok")
 	}
 }
+
+// TestStageReplicas pins the replica-count rule: one replica per shard,
+// then each further one to the shard with the highest cost per replica,
+// ties to the earliest.
+func TestStageReplicas(t *testing.T) {
+	cases := []struct {
+		name   string
+		costs  []float64
+		budget int
+		want   []int
+	}{
+		{"zero budget", []float64{3, 1, 2}, 0, []int{1, 1, 1}},
+		{"below the shard count", []float64{3, 1, 2}, 2, []int{1, 1, 1}},
+		{"at the shard count", []float64{3, 1, 2}, 3, []int{1, 1, 1}},
+		{"above the shard count", []float64{3, 1, 2}, 5, []int{2, 1, 2}},
+		{"one shard takes the budget", []float64{5}, 4, []int{4}},
+		{"bottleneck last", []float64{1, 4}, 4, []int{1, 3}},
+		{"tie goes to the earliest", []float64{2, 2}, 3, []int{2, 1}},
+		{"tie after replication", []float64{4, 2}, 4, []int{3, 1}},
+		{"zero costs", []float64{0, 0, 0}, 5, []int{3, 1, 1}},
+		{"one zero-cost shard", []float64{0, 5}, 3, []int{1, 2}},
+	}
+	for _, tc := range cases {
+		if got := stageReplicas(tc.costs, tc.budget); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: stageReplicas(%v, %d) = %v, want %v", tc.name, tc.costs, tc.budget, got, tc.want)
+		}
+	}
+}

@@ -1,295 +1,215 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"pipelayer/internal/core"
-	"pipelayer/internal/networks"
 	"pipelayer/internal/telemetry"
 	"pipelayer/internal/telemetry/flight"
 	"pipelayer/internal/tensor"
 )
-
-// ErrClosed: the chain is draining or closed; callers holding a stale
-// reference after a hot swap retire should reload and retry.
-var ErrClosed = errors.New("shard: chain closed")
 
 // Config tunes a shard chain. Either Shards (automatic balancing) or Ranges
 // (explicit layer assignment) selects the partition; Ranges wins when both
 // are set.
 type Config struct {
 	// Shards is the number of contiguous layer-range shards to balance
-	// automatically. Per-engine costs come from measured trainer telemetry
-	// (core_stage_forward_seconds spans in Metrics) when every stage has
-	// been timed, else from the analytic MAC counts.
+	// automatically; 0 means one. Per-engine costs come from measured
+	// trainer telemetry (core_stage_forward_seconds spans in Metrics) when
+	// every stage has been timed, else from the analytic MAC counts.
 	Shards int
 	// Ranges assigns engine ranges explicitly; must tile the stack.
 	Ranges []Range
-	// Depth is each shard's inbox capacity (bounded inter-shard buffer).
-	// Depth 1 — the default — means each shard holds at most one waiting
-	// batch besides the one it is computing: enough to keep the pipeline
-	// full, small enough that a stalled shard backpressures its upstream
-	// within one batch.
-	Depth int
+	// Replicas is the chain's total replica budget. Every shard gets one
+	// replica, and each further replica goes to the shard with the highest
+	// cost per replica (the costs the partition was balanced on), ties to
+	// the earliest shard. 0, or a budget below the shard count, means one
+	// replica per shard. Shard k computes at most as many batches at once
+	// as it has replicas — the paper's replication factor G (§3.2.3).
+	Replicas int
 	// Metrics, when non-nil, receives per-shard instruments:
-	// serve_shard_batches_total / serve_shard_busy_seconds /
-	// serve_shard_queue_depth, each labeled {shard="k"}.
+	// serve_shard_batches_total and serve_shard_busy_seconds, each labeled
+	// {shard="k"}. Busy time sums over a shard's replicas.
 	Metrics *telemetry.Registry
 	// Flight, when non-nil, records one serve_shard_forward span per batch
-	// per shard, each shard on its own timeline track — pipeline bubbles
+	// per shard, each replica on its own timeline track — pipeline bubbles
 	// show up as gaps between spans in the Perfetto export.
 	Flight *flight.Recorder
-	// TrackBase is the first flight track; shard k records on TrackBase+k.
+	// TrackBase is the first flight track; the replicas take consecutive
+	// tracks from it, shard by shard.
 	TrackBase uint64
-	// TraceDepth extends tracing into the shard's replica when >= 1
+	// TraceDepth extends tracing into the shard's replicas when >= 1
 	// (core_layer_forward per layer, crossbar readouts at >= 2), exactly as
 	// Replica.AttachFlight documents.
 	TraceDepth int
 
-	// BeforeStage, when non-nil, runs in shard k's worker before each batch
-	// it computes. It exists for tests — stalling a chosen shard is the only
-	// deterministic way to exercise the backpressure cascade — and must not
-	// be set in production paths.
+	// BeforeStage, when non-nil, runs before each batch shard k computes,
+	// once the caller holds one of the shard's replicas. It exists for
+	// tests — stalling a chosen shard is the only deterministic way to
+	// exercise the backpressure cascade — and must not be set in production
+	// paths.
 	BeforeStage func(shard int)
 }
 
-// job is one batch in flight through the chain. done is buffered so the
-// final shard's hand-off never blocks on a caller that abandoned the wait
-// (context cancellation) — the chain can never wedge on a dead caller.
-type job struct {
-	xs   []*tensor.Tensor
-	done chan []*tensor.Tensor
+// replica is one of a shard's sub-replicas and the flight track its spans
+// land on.
+type replica struct {
+	rep   *core.Replica
+	track uint64
 }
 
-// stage is one shard: a sub-replica over its layer range plus the bounded
-// inbox its upstream feeds.
+// stage is one shard: a pool holding its idle replicas. A replica is out of
+// the pool exactly while a caller computes on it.
 type stage struct {
-	rng   Range
-	rep   *core.Replica
-	in    chan *job
-	track uint64
+	pool chan replica
 
 	batches *telemetry.Counter
 	busy    *telemetry.Span
-	depth   *telemetry.Gauge
 }
 
-// Chain streams batches through layer-range shards. Forward is safe for
-// concurrent use: multiple callers keep multiple batches in flight, which is
-// what fills the pipeline (each concurrent batch occupies a different shard
-// at any instant). Outputs are bit-identical to running the same batch
-// through the unsharded replica, because a shard chain computes the same
-// engine sequence with the same kernels — partitioning only changes which
-// goroutine runs which contiguous slice.
+// Chain runs batches through layer-range shards, each a pool of replicas.
+// Forward is safe for concurrent use: every caller carries its own batch
+// from shard to shard, so concurrent callers occupy different shards at the
+// same instant — the Figure 6 overlap — and shard k never computes more
+// batches at once than it has replicas. Outputs are bit-identical to
+// running the same batch through the unsharded replica, because a shard
+// chain computes the same engine sequence with the same kernels —
+// partitioning only changes which replica runs which contiguous slice.
 type Chain struct {
-	spec   networks.Spec
-	ranges []Range
-	stages []*stage
-	flight *flight.Recorder
-	hook   func(int)
-
-	mu      sync.RWMutex // guards closed against Close
-	closed  bool
-	closing chan struct{}
-	senders sync.WaitGroup // Forward calls between admission and hand-off
-	wg      sync.WaitGroup // shard workers
+	cfg      Config // the recipe, with Ranges resolved
+	replicas []int  // per-shard replica counts
+	stages   []*stage
 }
 
-// ResolveRanges computes the partition New would use without building the
-// chain: explicit cfg.Ranges validated as-is, else cfg.Shards ranges
-// balanced over measured per-stage telemetry when available (falling back
-// to analytic per-engine costs).
-func ResolveRanges(rep *core.Replica, cfg Config) ([]Range, error) {
-	if len(cfg.Ranges) > 0 {
-		if err := ValidateRanges(cfg.Ranges, rep.Engines()); err != nil {
-			return nil, err
-		}
-		return append([]Range(nil), cfg.Ranges...), nil
-	}
+// plan resolves a chain's shape: the ranges (explicit cfg.Ranges validated
+// as-is, else cfg.Shards ranges balanced over the per-engine costs) and the
+// per-shard replica counts spread over the same costs.
+func plan(rep *core.Replica, cfg Config) ([]Range, []int, error) {
 	costs := rep.ForwardCosts()
 	if cfg.Metrics != nil {
 		if measured, ok := MeasuredCosts(cfg.Metrics.Snapshot(), rep.Engines()); ok {
 			costs = measured
 		}
 	}
-	return BalancedRanges(costs, cfg.Shards)
+	ranges := append([]Range(nil), cfg.Ranges...)
+	if len(ranges) > 0 {
+		if err := ValidateRanges(ranges, len(costs)); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		var err error
+		if ranges, err = BalancedRanges(costs, max(cfg.Shards, 1)); err != nil {
+			return nil, nil, err
+		}
+	}
+	stageCosts := make([]float64, len(ranges))
+	for k, r := range ranges {
+		for _, c := range costs[r.Lo:r.Hi] {
+			stageCosts[k] += c
+		}
+	}
+	return ranges, stageReplicas(stageCosts, cfg.Replicas), nil
 }
 
-// New partitions the replica into shards and starts one worker per shard.
-// The replica itself is not retained: each shard gets a fresh sub-replica
-// clone sharing the programmed arrays, so the caller may discard rep.
+// New partitions the replica into shards and clones each shard's replicas.
+// The replica itself is not retained: every shard replica is a fresh
+// sub-replica clone sharing the programmed arrays, so the caller may
+// discard rep.
 func New(rep *core.Replica, cfg Config) (*Chain, error) {
 	if rep == nil {
 		return nil, errors.New("shard: nil replica")
 	}
-	ranges, err := ResolveRanges(rep, cfg)
+	ranges, replicas, err := plan(rep, cfg)
 	if err != nil {
 		return nil, err
 	}
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = 1
+	cfg.Ranges = ranges
+	return build(rep, cfg, replicas)
+}
+
+// Rebuild returns a chain of c's shape — the same ranges, per-shard replica
+// counts, instruments, tracks and hook — over rep's weights. A hot swap
+// uses it so that telemetry accumulated since New can never re-shard the
+// server.
+func (c *Chain) Rebuild(rep *core.Replica) (*Chain, error) {
+	if rep == nil {
+		return nil, errors.New("shard: nil replica")
 	}
-	c := &Chain{
-		spec:    rep.Spec(),
-		ranges:  ranges,
-		flight:  cfg.Flight,
-		hook:    cfg.BeforeStage,
-		closing: make(chan struct{}),
+	if err := ValidateRanges(c.cfg.Ranges, rep.Engines()); err != nil {
+		return nil, err
 	}
-	for k, rng := range ranges {
-		sub, err := rep.Sub(rng.Lo, rng.Hi)
-		if err != nil {
-			return nil, err
-		}
-		st := &stage{
-			rng:   rng,
-			rep:   sub,
-			in:    make(chan *job, depth),
-			track: cfg.TrackBase + uint64(k),
-		}
+	return build(rep, c.cfg, c.replicas)
+}
+
+func build(rep *core.Replica, cfg Config, replicas []int) (*Chain, error) {
+	c := &Chain{cfg: cfg, replicas: replicas}
+	track := cfg.TrackBase
+	for k, rng := range cfg.Ranges {
+		st := &stage{pool: make(chan replica, replicas[k])}
 		if reg := cfg.Metrics; reg != nil {
 			lbl := map[string]string{"shard": strconv.Itoa(k)}
 			st.batches = reg.Counter(telemetry.Name("serve_shard_batches_total", lbl))
 			st.busy = reg.Span(telemetry.Name("serve_shard_busy_seconds", lbl))
-			st.depth = reg.Gauge(telemetry.Name("serve_shard_queue_depth", lbl))
 		}
-		if c.flight.Enabled() {
-			c.flight.SetTrackName(st.track, fmt.Sprintf("shard %d: layers %d-%d", k, rng.Lo, rng.Hi-1))
-			sub.AttachFlight(c.flight, st.track, cfg.TraceDepth)
+		for j := 0; j < replicas[k]; j++ {
+			sub, err := rep.Sub(rng.Lo, rng.Hi)
+			if err != nil {
+				return nil, err
+			}
+			if cfg.Flight.Enabled() {
+				cfg.Flight.SetTrackName(track, fmt.Sprintf("shard %d replica %d: layers %d-%d", k, j, rng.Lo, rng.Hi-1))
+				sub.AttachFlight(cfg.Flight, track, cfg.TraceDepth)
+			}
+			st.pool <- replica{rep: sub, track: track}
+			track++
 		}
 		c.stages = append(c.stages, st)
-	}
-	for k := range c.stages {
-		c.wg.Add(1)
-		go c.run(k)
 	}
 	return c, nil
 }
 
-// run is shard k's worker: drain the inbox, compute the layer range, hand
-// the batch to the next shard (or deliver it). Closing the first shard's
-// inbox cascades down the chain, so every accepted job is fully computed and
-// delivered before the last worker exits — a drain, never a drop.
-func (c *Chain) run(k int) {
-	defer c.wg.Done()
-	st := c.stages[k]
-	var next *stage
-	if k+1 < len(c.stages) {
-		next = c.stages[k+1]
+// Forward carries one batch through the shards in order. At each shard it
+// takes an idle replica from the pool, waiting while all of them are busy,
+// computes the shard's layer range and returns the replica before moving
+// on: a caller never holds two replicas, so it never waits while holding
+// one. A stalled shard therefore backs its callers up in front of it, and
+// through them the serving queue.
+func (c *Chain) Forward(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if len(xs) == 0 {
+		return nil, nil
 	}
-	for j := range st.in {
-		if st.depth != nil {
-			st.depth.Set(float64(len(st.in)))
+	for k, st := range c.stages {
+		r := <-st.pool
+		if c.cfg.BeforeStage != nil {
+			c.cfg.BeforeStage(k)
 		}
-		if c.hook != nil {
-			c.hook(k)
-		}
-		t0 := c.flight.Now()
+		t0 := c.cfg.Flight.Now()
 		var timer telemetry.SpanTimer
 		if st.busy != nil {
 			timer = st.busy.Start()
 		}
-		j.xs = st.rep.InferBatch(j.xs)
+		ys, err := r.rep.Forward(xs)
 		if st.busy != nil {
 			timer.Stop()
 		}
 		if st.batches != nil {
 			st.batches.Inc()
 		}
-		c.flight.Record("serve_shard_forward", 0, st.track, t0, int64(len(j.xs)))
-		if next != nil {
-			next.in <- j
-			if next.depth != nil {
-				next.depth.Set(float64(len(next.in)))
-			}
-		} else {
-			j.done <- j.xs
+		c.cfg.Flight.Record("serve_shard_forward", 0, r.track, t0, int64(len(xs)))
+		st.pool <- r
+		if err != nil {
+			return nil, err
 		}
+		xs = ys
 	}
-	if next != nil {
-		close(next.in)
-	}
+	return xs, nil
 }
 
-// Forward streams one batch through the chain and blocks until the result is
-// out the far end. It implements the serving backend contract; admission
-// blocks while the first shard's bounded inbox is full, which is exactly how
-// a stalled shard backpressures all the way to the serving queue.
-func (c *Chain) Forward(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	//pipelayer:allow-ctxflow Forward is the contextless serve.Backend compatibility entry point; callers with a deadline use ForwardContext, and Close's drain covers the uncancelable case
-	return c.ForwardContext(context.Background(), xs)
-}
-
-// ForwardContext is Forward with cancellation: a context that dies while the
-// batch waits for admission abandons the attempt; one that dies while the
-// batch is in flight abandons the wait, and the chain delivers the orphaned
-// result into the job's buffered channel without blocking — cancellation can
-// never wedge the chain.
-func (c *Chain) ForwardContext(ctx context.Context, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	// Registering as a sender under the read lock pairs with Close's write
-	// lock: Close waits for every registered sender to finish its hand-off
-	// (or bail via closing) before the intake channel closes, so a send can
-	// never race the close.
-	c.senders.Add(1)
-	c.mu.RUnlock()
-	defer c.senders.Done()
-
-	head := c.stages[0]
-	j := &job{xs: xs, done: make(chan []*tensor.Tensor, 1)}
-	select {
-	case head.in <- j:
-		if head.depth != nil {
-			head.depth.Set(float64(len(head.in)))
-		}
-	case <-c.closing:
-		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	select {
-	case ys := <-j.done:
-		return ys, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Close drains the chain: no new batches are admitted, every batch already
-// accepted flows through its remaining shards and is delivered, and all
-// shard workers exit before Close returns. A second Close reports ErrClosed.
-func (c *Chain) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.closed = true
-	close(c.closing)
-	c.mu.Unlock()
-	c.senders.Wait()
-	close(c.stages[0].in)
-	c.wg.Wait()
-	return nil
-}
-
-// Spec returns the full network geometry the chain serves.
-func (c *Chain) Spec() networks.Spec { return c.spec }
+// Close is a no-op: a chain owns no goroutines and holds no batches between
+// Forward calls, so there is nothing to drain. Forward stays usable.
+func (c *Chain) Close() error { return nil }
 
 // Ranges returns the resolved layer partition, one range per shard.
-func (c *Chain) Ranges() []Range { return append([]Range(nil), c.ranges...) }
-
-// Shards returns the number of shards in the chain.
-func (c *Chain) Shards() int { return len(c.stages) }
+func (c *Chain) Ranges() []Range { return append([]Range(nil), c.cfg.Ranges...) }

@@ -1,10 +1,7 @@
 package shard
 
 import (
-	"context"
-	"errors"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -55,23 +52,6 @@ func sameBits(t *testing.T, got, want *tensor.Tensor, what string) {
 		if g[i] != w[i] {
 			t.Fatalf("%s: element %d is %v, want %v (bit-identity broken)", what, i, g[i], w[i])
 		}
-	}
-}
-
-func assertNoGoroutineLeaks(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d goroutines, baseline %d\n%s",
-				runtime.NumGoroutine(), base, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -153,31 +133,35 @@ func TestChainAutoBalancePrefersMeasuredTelemetry(t *testing.T) {
 		}
 		reg.Span(telemetry.Name("core_stage_forward_seconds", map[string]string{"stage": []string{"1", "2", "3", "4", "5"}[i-1]})).Add(ms)
 	}
-	ranges, err := ResolveRanges(rep, Config{Shards: 2, Metrics: reg})
+	c, err := New(rep, Config{Shards: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ranges := c.Ranges()
 	want := []Range{{0, 4}, {4, 5}}
 	if ranges[0] != want[0] || ranges[1] != want[1] {
 		t.Fatalf("measured-cost split = %v, want %v", ranges, want)
 	}
 }
 
-// TestChainBoundedBackpressure: with the tail shard stalled, only a bounded
-// number of batches fit inside the chain (inboxes + in-compute slots);
-// admission of the next batch blocks until the stall clears — backpressure,
-// not buffering.
+// TestChainBoundedBackpressure: with the tail shard of a one-replica-per-
+// shard chain stalled, only the batch holding its replica gets inside — the
+// hook for shard 1 runs once while the gate is shut, every other caller
+// waits in front of the shard — and once the gate opens every caller
+// completes bit-identically.
 func TestChainBoundedBackpressure(t *testing.T) {
-	base := runtime.NumGoroutine()
 	rep := cnnReplica(t)
 	xs := imageInputs(t, 1)
+	want := rep.Infer(xs[0])
 	gate := make(chan struct{})
-	var stalled atomic.Bool
+	var entered atomic.Int32
+	reg := telemetry.NewRegistry()
 	c, err := New(rep, Config{
-		Shards: 2,
-		Depth:  1,
+		Shards:  2,
+		Metrics: reg,
 		BeforeStage: func(k int) {
-			if k == 1 && stalled.Load() {
+			if k == 1 {
+				entered.Add(1)
 				<-gate
 			}
 		},
@@ -185,148 +169,44 @@ func TestChainBoundedBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stalled.Store(true)
 
-	// Capacity with 2 shards at depth 1: one batch stalled in the tail
-	// worker, one in the tail inbox, one stuck in the head worker's hand-off,
-	// one in the head inbox = 4. The 5th must block at admission.
-	const capacity = 4
+	const callers = 4
+	outs := make([][]*tensor.Tensor, callers)
+	errs := make([]error, callers)
 	var wg sync.WaitGroup
-	results := make(chan error, capacity)
-	for i := 0; i < capacity; i++ {
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			_, err := c.Forward([]*tensor.Tensor{xs[0]})
-			results <- err
-		}()
+			outs[i], errs[i] = c.Forward([]*tensor.Tensor{xs[0]})
+		}(i)
 	}
-	// Wait for the pipeline to fill: an admission attempt with a deadline
-	// must time out rather than be accepted or buffered.
+	// Every caller gets through shard 0, whose replica the stall does not
+	// hold; then all but one wait for shard 1's replica.
+	head := reg.Counter(telemetry.Name("serve_shard_batches_total", map[string]string{"shard": "0"}))
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		_, err := c.ForwardContext(ctx, []*tensor.Tensor{xs[0]})
-		cancel()
-		if errors.Is(err, context.DeadlineExceeded) {
-			break
-		}
+	for head.Value() < callers {
 		if time.Now().After(deadline) {
-			t.Fatal("admission never blocked with the tail shard stalled")
+			t.Fatalf("only %d of %d batches left shard 0", head.Value(), callers)
 		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := entered.Load(); n != 1 {
+		t.Fatalf("shard 1 entered %d times with its only replica stalled, want 1", n)
 	}
 
 	close(gate)
-	stalled.Store(false)
 	wg.Wait()
-	close(results)
-	for err := range results {
-		if err != nil {
-			t.Fatalf("stalled batch failed after release: %v", err)
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
 		}
+		sameBits(t, outs[i][0], want, "released")
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
+	if n := entered.Load(); n != callers {
+		t.Fatalf("shard 1 ran %d batches, want %d", n, callers)
 	}
-	assertNoGoroutineLeaks(t, base)
-}
-
-// TestChainCancellationDoesNotWedge: canceling callers mid-flight abandons
-// their waits without wedging the chain — later batches still flow, and
-// Close still drains cleanly.
-func TestChainCancellationDoesNotWedge(t *testing.T) {
-	base := runtime.NumGoroutine()
-	rep := cnnReplica(t)
-	xs := imageInputs(t, 2)
-	want := rep.Infer(xs[1])
-	gate := make(chan struct{})
-	var stalled atomic.Bool
-	c, err := New(rep, Config{
-		Shards: 3,
-		BeforeStage: func(k int) {
-			if k == 2 && stalled.Load() {
-				<-gate
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stalled.Store(true)
-
-	// A batch canceled while in flight: Forward returns the context error;
-	// the chain later delivers the orphan into the job's buffered channel.
-	ctx, cancel := context.WithCancel(context.Background())
-	inFlight := make(chan error, 1)
-	go func() {
-		_, err := c.ForwardContext(ctx, []*tensor.Tensor{xs[0]})
-		inFlight <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let it get admitted and stall
-	cancel()
-	select {
-	case err := <-inFlight:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled in-flight call returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("canceled in-flight call never returned")
-	}
-
-	close(gate)
-	stalled.Store(false)
-	got, err := c.Forward([]*tensor.Tensor{xs[1]})
-	if err != nil {
-		t.Fatalf("chain wedged after cancellation: %v", err)
-	}
-	sameBits(t, got[0], want, "post-cancel")
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertNoGoroutineLeaks(t, base)
-}
-
-// TestChainCloseDrains: batches accepted before Close complete and deliver;
-// Forward after Close reports ErrClosed; double Close reports ErrClosed.
-func TestChainCloseDrains(t *testing.T) {
-	base := runtime.NumGoroutine()
-	rep := cnnReplica(t)
-	xs := imageInputs(t, 3)
-	want := rep.InferBatch(append([]*tensor.Tensor(nil), xs...))
-	c, err := New(rep, Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type res struct {
-		ys  []*tensor.Tensor
-		err error
-	}
-	done := make(chan res, 1)
-	go func() {
-		ys, err := c.Forward(append([]*tensor.Tensor(nil), xs...))
-		done <- res{ys, err}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := <-done
-	// The batch either completed before Close registered it (delivered,
-	// bit-identical) or lost the admission race (ErrClosed) — never lost.
-	if r.err == nil {
-		for i := range r.ys {
-			sameBits(t, r.ys[i], want[i], "drained")
-		}
-	} else if !errors.Is(r.err, ErrClosed) {
-		t.Fatalf("in-flight batch got %v", r.err)
-	}
-	if _, err := c.Forward([]*tensor.Tensor{xs[0]}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Forward after Close = %v, want ErrClosed", err)
-	}
-	if err := c.Close(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("second Close = %v, want ErrClosed", err)
-	}
-	assertNoGoroutineLeaks(t, base)
 }
 
 func TestChainEmptyBatch(t *testing.T) {

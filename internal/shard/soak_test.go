@@ -191,11 +191,7 @@ func TestShardedSwapSoak(t *testing.T) {
 	for v := 2; v <= versions; v++ {
 		time.Sleep(30 * time.Millisecond)
 		checkHTTP()
-		reps, err := machines[v-1].ReplicaSet(replicas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Swap(reps, uint64(v)); err != nil {
+		if err := s.Swap(machines[v-1], uint64(v)); err != nil {
 			t.Fatalf("swap to v%d: %v", v, err)
 		}
 	}

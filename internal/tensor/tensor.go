@@ -283,7 +283,7 @@ func Dot(t, o *Tensor) float64 {
 }
 
 // Equal reports whether two tensors have identical shape and elements within
-// tolerance eps.
+// tolerance eps. A NaN element equals nothing, itself included.
 func Equal(a, b *Tensor, eps float64) bool {
 	if len(a.shape) != len(b.shape) {
 		return false
@@ -293,8 +293,10 @@ func Equal(a, b *Tensor, eps float64) bool {
 			return false
 		}
 	}
-	for i := range a.data {
-		if math.Abs(a.data[i]-b.data[i]) > eps {
+	for i, x := range a.data {
+		// Written so that a NaN difference fails the test: NaN > eps is
+		// false. Identical values (infinities too) need no subtraction.
+		if y := b.data[i]; x != y && !(math.Abs(x-y) <= eps) {
 			return false
 		}
 	}

@@ -162,6 +162,25 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// TestEqualRejectsNaN: a NaN element must fail the comparison at any
+// tolerance, against a number and against another NaN, or the bit-identity
+// oracles built on Equal would pass a NaN score.
+func TestEqualRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, eps := range []float64{0, 1e-9} {
+		for _, pair := range [][2]float64{{nan, 0}, {0, nan}, {nan, nan}} {
+			a, b := FromSlice([]float64{1, pair[0]}, 2), FromSlice([]float64{1, pair[1]}, 2)
+			if Equal(a, b, eps) {
+				t.Errorf("Equal(%v, %v, %g) = true, want false", a.Data(), b.Data(), eps)
+			}
+		}
+	}
+	inf := FromSlice([]float64{math.Inf(1), math.Inf(-1)}, 2)
+	if !Equal(inf, inf.Clone(), 0) {
+		t.Error("identical infinities must compare equal")
+	}
+}
+
 func TestApplyAndMap(t *testing.T) {
 	x := FromSlice([]float64{-1, 2}, 2)
 	y := x.Map(math.Abs)

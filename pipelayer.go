@@ -121,9 +121,11 @@ type (
 	// single-sample Predict calls coalesce into multi-column crossbar
 	// readouts, bit-identical to the serial path.
 	Server = serve.Server
-	// ServeConfig tunes the Server's batching scheduler (replicas, batch
-	// size, batching window, queue depth, metrics) and, via Shards or
-	// ShardRanges, selects the layer-sharded pipeline backend.
+	// ServeConfig tunes the Server's batching scheduler (batch size,
+	// batching window, queue depth, metrics) and the shard chain it serves
+	// through: Shards or ShardRanges set the layer-range stages (one when
+	// unset), and Replicas the workers and the replica budget spread over
+	// the stages.
 	ServeConfig = serve.Config
 	// ShardRange is one contiguous [Lo,Hi) engine range of a layer-sharded
 	// server's pipeline (ServeConfig.ShardRanges).
