@@ -162,8 +162,10 @@ perfbench-smoke:
 # a base commit and of this checkout on one machine, judged by BENCHMARK.json's
 # own end-to-end bounds (pipelayer-bench -diff). BASE is exported with git
 # archive under .bench_build/gate/src. Each workload runs three base/head pairs
-# of 10 s (train-serve's shortest valid run) at seeds 1-3, alternating sides;
-# each run's result line is appended to .bench_build/gate/{base,head}/<workload>.jsonl.
+# of 10 s (train-serve's shortest valid run) at seeds 1-3, alternating which
+# side runs first: base on odd seeds, head on even ones, so neither side
+# always runs on the machine the other has just warmed. Each run's result
+# line is appended to .bench_build/gate/{base,head}/<workload>.jsonl.
 # Exit 1 names the workload and metric that regressed, a wrong answer, a higher
 # failed share or a missing result. About 5 minutes on two cores.
 bench-regression:
@@ -174,12 +176,13 @@ bench-regression:
 	git archive "$(BASE)" | tar -x -C .bench_build/gate/src
 	@set -e; for wl in mlp-serve cnn-shard train-serve; do \
 		for seed in 1 2 3; do \
-			echo "== $$wl seed $$seed: base"; \
-			(cd .bench_build/gate/src && bash perfbench/run.sh --workload $$wl --seed $$seed --seconds 10 --trace 0) \
-				| tail -n 1 >> .bench_build/gate/base/$$wl.jsonl; \
-			echo "== $$wl seed $$seed: head"; \
-			bash perfbench/run.sh --workload $$wl --seed $$seed --seconds 10 --trace 0 \
-				| tail -n 1 >> .bench_build/gate/head/$$wl.jsonl; \
+			if [ $$((seed % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+			for side in $$order; do \
+				echo "== $$wl seed $$seed: $$side"; \
+				if [ $$side = base ]; then dir=.bench_build/gate/src; else dir=.; fi; \
+				(cd $$dir && bash perfbench/run.sh --workload $$wl --seed $$seed --seconds 10 --trace 0) \
+					| tail -n 1 >> .bench_build/gate/$$side/$$wl.jsonl; \
+			done; \
 		done; \
 	done
 	$(GO) run ./cmd/pipelayer-bench -diff .bench_build/gate/base .bench_build/gate/head

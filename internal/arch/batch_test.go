@@ -12,9 +12,10 @@ import (
 )
 
 // TestMatVecColsBitIdentical: every column of the batched readout must match
-// MatVec on that column alone, bit for bit — this is the contract the serving
-// layer's "batched == serial" guarantee rests on. Covers zero columns (the
-// serial path short-circuits them) and ragged shapes.
+// MatVec on that column alone, bit for bit (math.Float64bits, so −0 ≠ +0) —
+// this is the contract the serving layer's "batched == serial" guarantee and
+// every engine's one-column readout rest on. Covers zero columns (the serial
+// path short-circuits them) and ragged shapes.
 func TestMatVecColsBitIdentical(t *testing.T) {
 	cases := []struct{ rows, cols, n int }{
 		{1, 1, 1},
@@ -52,7 +53,7 @@ func TestMatVecColsBitIdentical(t *testing.T) {
 		for c, v := range vecs {
 			want := q.MatVec(v)
 			for j := 0; j < tc.cols; j++ {
-				if got.At(j, c) != want.At(j) {
+				if math.Float64bits(got.At(j, c)) != math.Float64bits(want.At(j)) {
 					t.Fatalf("%dx%d n=%d: out[%d] of column %d = %v, serial %v",
 						tc.rows, tc.cols, tc.n, j, c, got.At(j, c), want.At(j))
 				}
@@ -64,8 +65,11 @@ func TestMatVecColsBitIdentical(t *testing.T) {
 // TestMatVecColsFaultyBitIdentical: the batched readout must consume the same
 // effective conductances, drift factor and column states as the serial path,
 // so batching composes with fault injection without changing a single bit.
+// Batches of 1 and 6 run only the fault path's per-column tail, and 9 runs
+// one 8-column block and a tail; the inputs hold zeros, and column 1 of a
+// wider batch is all zero.
 func TestMatVecColsFaultyBitIdentical(t *testing.T) {
-	const rows, cols, bits, n = 24, 13, 16, 6
+	const rows, cols, bits = 24, 13, 16
 	inj := fault.MustNew(fault.Config{
 		Seed: 17, StuckOff: 0.002, StuckOn: 0.001,
 		Drift: 0.05, Spares: 2, Degrade: true,
@@ -74,16 +78,27 @@ func TestMatVecColsFaultyBitIdentical(t *testing.T) {
 	q.AttachFaults(inj, 1)
 	q.Tick(1000) // age the array so drift != 1
 
-	vecs := make([]*tensor.Tensor, n)
-	for c := range vecs {
-		vecs[c] = randTensor(rows, int64(100+c))
-	}
-	got := q.MatVecCols(PackCols(vecs))
-	for c, v := range vecs {
-		want := q.MatVec(v)
-		for j := 0; j < cols; j++ {
-			if got.At(j, c) != want.At(j) {
-				t.Fatalf("faulty column %d out[%d] = %v, serial %v", c, j, got.At(j, c), want.At(j))
+	for _, n := range []int{1, 6, 9} {
+		vecs := make([]*tensor.Tensor, n)
+		rng := rand.New(rand.NewSource(int64(100 + n)))
+		for c := range vecs {
+			v := tensor.New(rows)
+			if c != 1 { // column 1 stays all zero
+				for i := range v.Data() {
+					if rng.Intn(3) != 0 {
+						v.Data()[i] = rng.NormFloat64()
+					}
+				}
+			}
+			vecs[c] = v
+		}
+		got := q.MatVecCols(PackCols(vecs))
+		for c, v := range vecs {
+			want := q.MatVec(v)
+			for j := 0; j < cols; j++ {
+				if math.Float64bits(got.At(j, c)) != math.Float64bits(want.At(j)) {
+					t.Fatalf("n=%d: faulty column %d out[%d] = %v, serial %v", n, c, j, got.At(j, c), want.At(j))
+				}
 			}
 		}
 	}

@@ -170,6 +170,11 @@ func (q *Quantized) WeightCode(row, col int) int32 { return q.codes[row*q.Cols+c
 // product, exactly the per-column independence the spike-domain hardware
 // has — and every column accumulates over rows in ascending order, so the
 // result is bit-identical for any worker count.
+//
+// No engine calls MatVec: every engine reads its arrays through MatVecCols,
+// a batch of one included. MatVec is the straightforward per-vector
+// reference that the oracle tests of this package and internal/core compare
+// MatVecCols against.
 func (q *Quantized) MatVec(x *tensor.Tensor) *tensor.Tensor {
 	if x.Size() != q.Rows {
 		panic(fmt.Sprintf("arch: MatVec input has %d elems for %d rows (array is %dx%d)", x.Size(), q.Rows, q.Rows, q.Cols))

@@ -2,9 +2,11 @@
 // contribution assembled from every substrate. It exposes the programming
 // interface of Section 5.2 (Copy_to_PL / Copy_to_CPU, Topology_set,
 // Weight_load, Pipeline_set, Train / Test) as a stateful Accelerator. Its
-// layer engines are the repository's one analog datapath: Test, the serving
-// Replicas and both training executors run the same stages, and it executes
-// *complete training* functionally through them:
+// layer engines are the repository's one analog datapath. An engine holds no
+// activations and has one batched forward, so Test, the serving Replicas and
+// both training executors share the same engines, and each executor keeps
+// the stage boundaries d_l itself. The accelerator executes *complete
+// training* functionally through them:
 //
 //   - forward passes run through quantized crossbar models (the bit-exact
 //     fast equivalent of the spike-domain simulation, see internal/arch).
@@ -18,8 +20,9 @@
 //     weight update flows through the Section 4.4.2 read–modify–write with
 //     1/B averaging spikes and 4-bit segment recomposition;
 //
-// while the timing/energy side of every run comes from the cycle-accurate
-// pipeline simulation and the device model.
+// while the timing/energy side of every run comes from Table 2's cycle
+// counts, which the cycle-accurate pipeline simulation reproduces, and the
+// device model.
 package core
 
 import (
@@ -218,22 +221,31 @@ func (a *Accelerator) CopyToCPU(t *tensor.Tensor) *tensor.Tensor {
 	return t.Clone()
 }
 
-// forward runs one image through the analog datapath, timing each stage
-// when telemetry is attached.
-func (a *Accelerator) forward(x *tensor.Tensor) *tensor.Tensor {
+// forward runs one image through the analog datapath and returns the stage
+// boundaries: acts[i] is stage i's input and acts[i+1] its output, the d
+// values the backward pass reads. Each stage is timed when telemetry is
+// attached.
+func (a *Accelerator) forward(x *tensor.Tensor) []*tensor.Tensor {
 	tel := a.stageTelemetrySlice()
-	for i, e := range a.engines {
+	acts := make([]*tensor.Tensor, len(a.engines)+1)
+	acts[0] = x
+	for i := range a.engines {
 		ft := a.flight.Now()
-		if tel != nil {
-			t := tel[i].forward.Start()
-			x = e.forward(x)
-			t.Stop()
-		} else {
-			x = e.forward(x)
-		}
+		// acts[i:i+1:i+1] is the one-image batch, sliced without a copy.
+		acts[i+1] = a.stageForward(tel, i, acts[i:i+1:i+1])[0]
 		a.flight.Record("core_stage_forward", a.flightImage, flightTrainTrackBase+uint64(i), ft, int64(i))
 	}
-	return x
+	return acts
+}
+
+// stageForward runs stage i on xs, under its forward span when telemetry is
+// attached.
+func (a *Accelerator) stageForward(tel []stageTelemetry, i int, xs []*tensor.Tensor) []*tensor.Tensor {
+	if tel != nil {
+		t := tel[i].forward.Start()
+		defer t.Stop()
+	}
+	return a.engines[i].forward(xs)
 }
 
 // Test runs inference over the samples (the paper's Test mode) and reports
@@ -245,30 +257,23 @@ func (a *Accelerator) Test(samples []nn.Sample) (Report, error) {
 	if len(samples) == 0 {
 		return Report{}, errors.New("core: Test with no samples")
 	}
-	// Images fan out across engine clones that share the programmed arrays
-	// (the weight replication of Section 3.2.3 applied to Test throughput);
-	// each clone owns its activation buffers and a correct-prediction count
+	if err := a.checkSamples(samples); err != nil {
+		return Report{}, err
+	}
+	// Images fan out across the worker pool over the shared engines, which
+	// compute from the programmed arrays alone (the weight replication of
+	// Section 3.2.3 applied to Test throughput); a correct-prediction count
 	// is order-independent, so the result matches the serial scan exactly.
 	tel := a.stageTelemetrySlice()
 	var correct atomic.Int64
 	parallel.Default().For(len(samples), 1, func(lo, hi int) {
-		engines := make([]layerEngine, len(a.engines))
-		for i, e := range a.engines {
-			engines[i] = e.cloneForInference()
-		}
 		hits := 0
 		for _, s := range samples[lo:hi] {
-			x := s.Input
-			for i, e := range engines {
-				if tel != nil {
-					t := tel[i].forward.Start()
-					x = e.forward(x)
-					t.Stop()
-				} else {
-					x = e.forward(x)
-				}
+			xs := []*tensor.Tensor{s.Input}
+			for i := range a.engines {
+				xs = a.stageForward(tel, i, xs)
 			}
-			if _, idx := x.Max(); idx == s.Label {
+			if _, idx := xs[0].Max(); idx == s.Label {
 				hits++
 			}
 		}
@@ -276,13 +281,10 @@ func (a *Accelerator) Test(samples []nn.Sample) (Report, error) {
 	})
 	n := len(samples)
 	a.countImages("core_test_images_total", n)
-	L := a.spec.WeightedLayers()
-	sim := pipeline.Simulate(pipeline.Config{L: L, N: n, Pipelined: a.pipelined})
-	sim.Record(a.metrics)
 	return Report{
 		Images:   n,
 		Accuracy: float64(correct.Load()) / float64(n),
-		Cycles:   sim.Cycles,
+		Cycles:   a.modeledCycles(n, 0, false),
 		Seconds:  a.model.TestingTime(a.spec, a.plans, n, a.pipelined),
 		Energy:   a.model.TestingEnergy(a.spec, a.plans, n, a.pipelined),
 	}, nil
@@ -319,19 +321,14 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 	for start := 0; start < len(samples); start += batch {
 		for _, s := range samples[start : start+batch] {
 			a.flightImage = uint64(images) + 1
-			y := a.forward(s.Input)
+			acts := a.forward(s.Input)
+			y := acts[len(acts)-1]
 			t := nn.OneHot(s.Label, classes)
 			totalLoss += a.loss.Loss(y, t)
 			delta := a.loss.Grad(y, t)
 			for i := len(a.engines) - 1; i >= 0; i-- {
 				ft := a.flight.Now()
-				if tel != nil {
-					tm := tel[i].backward.Start()
-					delta = a.backward(i, delta)
-					tm.Stop()
-				} else {
-					delta = a.backward(i, delta)
-				}
+				delta = a.backward(tel, i, delta, acts[i], acts[i+1])
 				a.flight.Record("core_stage_backward", a.flightImage, flightTrainTrackBase+uint64(i), ft, int64(i))
 			}
 			// One drift tick per processed image; periodic refresh rewrites
@@ -342,51 +339,80 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 			images++
 			a.maybeRefresh(images)
 		}
-		for i, e := range a.engines {
-			ft := a.flight.Now()
-			if tel != nil {
-				tm := tel[i].update.Start()
-				e.applyUpdate(lr, batch, a.update)
-				tm.Stop()
-				tel[i].updates.Inc()
-				tel[i].cells.Add(tel[i].nCells)
-			} else {
-				e.applyUpdate(lr, batch, a.update)
-			}
-			a.flight.Record("core_stage_update", 0, flightTrainTrackBase+uint64(i), ft, int64(i))
-		}
+		a.updateStages(tel, lr, batch)
 	}
 	n := len(samples)
 	a.countImages("core_train_images_total", n)
-	L := a.spec.WeightedLayers()
-	sim := pipeline.Simulate(pipeline.Config{L: L, B: batch, N: n, Pipelined: a.pipelined, Training: true})
-	sim.Record(a.metrics)
-	rep := Report{
+	return Report{
 		Images:   n,
 		MeanLoss: totalLoss / float64(n),
-		Cycles:   sim.Cycles,
+		Cycles:   a.modeledCycles(n, batch, true),
 		Seconds:  a.model.TrainingTime(a.spec, a.plans, n, batch, a.pipelined),
 		Energy:   a.model.TrainingEnergy(a.spec, a.plans, n, batch, a.pipelined),
+	}, nil
+}
+
+// updateStages applies the batch update to every stage, the Section 4.4
+// read–modify–write that ends a batch in both executors, timing and counting
+// each stage's update when telemetry is attached.
+func (a *Accelerator) updateStages(tel []stageTelemetry, lr float64, batch int) {
+	for i, e := range a.engines {
+		ft := a.flight.Now()
+		if tel != nil {
+			tm := tel[i].update.Start()
+			e.applyUpdate(lr, batch, a.update)
+			tm.Stop()
+			tel[i].updates.Inc()
+			tel[i].cells.Add(tel[i].nCells)
+		} else {
+			e.applyUpdate(lr, batch, a.update)
+		}
+		a.flight.Record("core_stage_update", 0, flightTrainTrackBase+uint64(i), ft, int64(i))
 	}
-	return rep, nil
+}
+
+// modeledCycles is a run's logical cycle count from Table 2's closed forms,
+// which internal/pipeline's tests prove equal to its cycle simulation. The
+// simulation runs only when a registry is attached, for its utilization and
+// buffer-occupancy gauges.
+func (a *Accelerator) modeledCycles(n, batch int, training bool) int {
+	L := a.spec.WeightedLayers()
+	if a.metrics != nil {
+		pipeline.Simulate(pipeline.Config{L: L, B: batch, N: n, Pipelined: a.pipelined, Training: training}).Record(a.metrics)
+	}
+	switch {
+	case training && a.pipelined:
+		return mapping.PipelinedTrainingCycles(L, batch, n)
+	case training:
+		return mapping.NonPipelinedTrainingCycles(L, batch, n)
+	case a.pipelined:
+		return mapping.PipelinedTestingCycles(L, n)
+	}
+	return mapping.NonPipelinedTestingCycles(L, n)
 }
 
 // checkTrain is the pre-flight Train and TrainPipelined share, run before
 // any array is touched. The network must be one the analog backward path
 // can train: the Figure 11 error-backward-as-convolution identity it
 // implements holds for unit stride, so a strided conv, which inference
-// serves, is refused here. Then every sample is validated by the rule serve
-// applies to requests: the input has the network's element count (and the
-// (C,H,W) shape a conv front stage reads), every value is finite, and the
-// label is a class index. A NaN would otherwise pass the loss through ReLU's
-// clamp, turn a whole ∂W column NaN and saturate those weights in the
-// update; a bad size or label panics.
+// serves, is refused here. Then every sample must pass checkSamples.
 func (a *Accelerator) checkTrain(samples []nn.Sample) error {
 	for _, l := range a.spec.Layers {
 		if l.Kind == mapping.KindConv && l.Stride != 1 {
 			return fmt.Errorf("core: conv layer %s has stride %d; the analog backward path supports stride 1", l.Name, l.Stride)
 		}
 	}
+	return a.checkSamples(samples)
+}
+
+// checkSamples validates every sample of a Train, TrainPipelined or Test
+// run by the rule serve applies to requests: the input has the network's
+// element count (and the (C,H,W) shape a conv front stage reads), every
+// value is finite, and the label is a class index. In training a NaN would
+// pass the loss through ReLU's clamp, turn a whole ∂W column NaN and
+// saturate those weights in the update; in Test a NaN or an out-of-range
+// label would score as a silent miss. A bad size panics in either.
+func (a *Accelerator) checkSamples(samples []nn.Sample) error {
 	c, h, w := a.spec.InC, a.spec.InH, a.spec.InW
 	_, conv := a.engines[0].(*convEngine)
 	for i, s := range samples {
@@ -412,14 +438,19 @@ func (a *Accelerator) checkTrain(samples []nn.Sample) error {
 	return nil
 }
 
-// backward is the serial executor's backward through stage i: mask the raw
-// error with f′ of the buffered output, accumulate the stage's partial
-// derivatives from the buffered input, and return the raw upstream error.
-// Stage 0's upstream error has no consumer, so the first stage only
-// accumulates — the pipelined schedule's opGradFirst — and returns nil.
-func (a *Accelerator) backward(i int, raw *tensor.Tensor) *tensor.Tensor {
+// backward is the serial executor's backward through stage i, given the
+// stage's input and output from forward and timed under its backward span
+// when telemetry is attached: mask the raw error with f′ of the output,
+// accumulate the stage's partial derivatives from the input, and return the
+// raw upstream error. Stage 0's upstream error has no consumer, so the first
+// stage only accumulates — the pipelined schedule's opGradFirst — and
+// returns nil.
+func (a *Accelerator) backward(tel []stageTelemetry, i int, raw, in, out *tensor.Tensor) *tensor.Tensor {
+	if tel != nil {
+		t := tel[i].backward.Start()
+		defer t.Stop()
+	}
 	e := a.engines[i]
-	in, out := e.buffered()
 	d := e.maskError(raw, out)
 	if i == 0 {
 		e.derivative(d, in)

@@ -200,8 +200,9 @@ func TestTrainValidatesBatch(t *testing.T) {
 
 // TestTrainRejectsBadSamples: a non-finite pixel, a mis-sized input or an
 // out-of-range label anywhere in the run is an error naming the sample, from
-// both executors, before any weight changes. Without the check a NaN pixel
-// trains silently into saturated weights, and the other two panic.
+// both training executors and from Test, before any weight changes. Without
+// the check a NaN pixel trains silently into saturated weights, a mis-sized
+// input panics, and Test scores a NaN pixel or a bad label as a silent miss.
 func TestTrainRejectsBadSamples(t *testing.T) {
 	const bad = 11 // in the second batch: the first must not train either
 	corrupt := map[string]func(s *nn.Sample){
@@ -210,19 +211,23 @@ func TestTrainRejectsBadSamples(t *testing.T) {
 		"size":  func(s *nn.Sample) { s.Input = tensor.New(s.Input.Size() - 1) },
 		"label": func(s *nn.Sample) { s.Label = 10 },
 	}
+	executors := []struct {
+		name string
+		run  func(a *Accelerator, samples []nn.Sample) (Report, error)
+	}{
+		{"pipelined=false", func(a *Accelerator, s []nn.Sample) (Report, error) { return a.Train(s, 8, 0.1) }},
+		{"pipelined=true", func(a *Accelerator, s []nn.Sample) (Report, error) { return a.TrainPipelined(s, 8, 0.1) }},
+		{"test", func(a *Accelerator, s []nn.Sample) (Report, error) { return a.Test(s) }},
+	}
 	for _, name := range []string{"nan", "inf", "size", "label"} {
-		for _, pipelined := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/pipelined=%v", name, pipelined), func(t *testing.T) {
+		for _, ex := range executors {
+			t.Run(name+"/"+ex.name, func(t *testing.T) {
 				a := loadedAccel(t, testutil.TinyMLP("bad-samples"), 77, nil)
 				samples := testutil.FlatSamples(16, 8)
 				samples[bad].Input = samples[bad].Input.Clone()
 				corrupt[name](&samples[bad])
 				before := a.WeightsSnapshot()
-				train := a.Train
-				if pipelined {
-					train = a.TrainPipelined
-				}
-				_, err := train(samples, 8, 0.1)
+				_, err := ex.run(a, samples)
 				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sample %d ", bad)) {
 					t.Fatalf("err = %v, want an error naming sample %d", err, bad)
 				}
@@ -237,14 +242,17 @@ func TestTrainRejectsBadSamples(t *testing.T) {
 }
 
 // TestTrainRejectsFlatImageForConv: a conv front stage reads a (C,H,W)
-// image, so a flat input of the right size is refused rather than panicking
-// in Im2Col.
+// image, so a flat input of the right size is refused, by Train and by
+// Test, rather than panicking in Im2Col.
 func TestTrainRejectsFlatImageForConv(t *testing.T) {
 	a := loadedAccel(t, testutil.TinyDeepCNN("bad-shape"), 5, nil)
 	samples := testutil.ImageSamples(8, 9)
 	samples[3].Input = samples[3].Input.Reshape(samples[3].Input.Size())
 	if _, err := a.Train(samples, 8, 0.1); err == nil || !strings.Contains(err.Error(), "sample 3 ") {
-		t.Fatalf("err = %v, want an error naming sample 3", err)
+		t.Fatalf("Train: err = %v, want an error naming sample 3", err)
+	}
+	if _, err := a.Test(samples); err == nil || !strings.Contains(err.Error(), "sample 3 ") {
+		t.Fatalf("Test: err = %v, want an error naming sample 3", err)
 	}
 }
 

@@ -16,42 +16,35 @@ import (
 // reordered-kernel arrays, gradient accumulation in buffers, and the
 // hardware weight update.
 //
+// An engine holds no activations: its forward is a pure function of its
+// programmed arrays (Section 3.1), so Test, the serving replicas and both
+// training executors share it across goroutines, and each executor buffers
+// a stage's input d_{l-1} and output d_l itself (Section 3.3).
+//
 // The backward path is split the way the hardware splits it (Section 4.3):
 // maskError is the activation component ANDing a raw error with this
-// stage's f′ (computed from its buffered output d_l), derivative
-// accumulates this stage's partial derivatives from δ and the buffered
-// input d_{l-1} (Figure 12), and propagate is the error-array pass Wᵀδ
-// (Figure 11). errorBackward composes the last two; the first stage runs
-// derivative alone, since nothing consumes its upstream error.
+// stage's f′ (computed from its output d_l), derivative accumulates this
+// stage's partial derivatives from δ and its input d_{l-1} (Figure 12), and
+// propagate is the error-array pass Wᵀδ (Figure 11). errorBackward composes
+// the last two; the first stage runs derivative alone, since nothing
+// consumes its upstream error.
 type layerEngine interface {
-	forward(x *tensor.Tensor) *tensor.Tensor
-	// buffered returns the stage's input and output saved by the last
-	// forward — the d_{l-1} and d_l the serial executor's backward reads.
-	buffered() (in, out *tensor.Tensor)
+	// forward runs a batch of independent inputs through the stage, a
+	// weighted stage in one multi-column readout. Element i of the result
+	// depends on xs[i] alone, bit for bit, whatever the batch.
+	forward(xs []*tensor.Tensor) []*tensor.Tensor
 	// maskError applies this stage's activation derivative to a raw error,
-	// using the buffered stage output.
+	// using the stage output d_l.
 	maskError(raw, output *tensor.Tensor) *tensor.Tensor
-	// derivative accumulates this stage's gradients from (δ, buffered input).
+	// derivative accumulates this stage's gradients from (δ, input d_{l-1}).
 	derivative(delta, input *tensor.Tensor)
 	// propagate returns the raw upstream error of δ: Wᵀδ through the error
-	// arrays, or for pooling δ routed to the buffered input's window maxima.
+	// arrays, or for pooling δ routed to the input's window maxima.
 	propagate(delta, input *tensor.Tensor) *tensor.Tensor
 	applyUpdate(lr float64, batch int, u *arch.UpdateUnit)
 	// weights returns the stage's master parameter tensors (empty for
 	// weight-free stages), for snapshotting and verification.
 	weights() []*tensor.Tensor
-	// cloneForInference returns an engine sharing the programmed arrays and
-	// master weights but owning private activation buffers (lastIn/lastOut),
-	// so independent images can stream through concurrently — the weight
-	// replication of Section 3.2.3 applied to Test throughput. Clones must
-	// only run forward.
-	cloneForInference() layerEngine
-	// forwardBatch runs a batch of independent inputs through the stage in
-	// one readout pass. Element i of the result is bit-identical to
-	// forward(xs[i]); unlike forward it never touches the lastIn/lastOut
-	// training buffers, so it is safe on shared clones and needs no
-	// per-request buffer copies.
-	forwardBatch(xs []*tensor.Tensor) []*tensor.Tensor
 	// tick advances the drift age of the stage's arrays by n compute
 	// cycles; no-op without an attached fault injector. Serial callers only.
 	tick(n int64)
@@ -202,9 +195,6 @@ type denseEngine struct {
 	in, out int
 	relu    bool
 	crossbars
-
-	lastIn  *tensor.Tensor
-	lastOut *tensor.Tensor
 }
 
 func newDenseEngine(l *nn.Dense, relu bool, bits int, inj *fault.Injector, stage uint64) *denseEngine {
@@ -214,8 +204,6 @@ func newDenseEngine(l *nn.Dense, relu bool, bits int, inj *fault.Injector, stage
 	}
 }
 
-func (e *denseEngine) cloneForInference() layerEngine { c := *e; return &c }
-
 func (e *denseEngine) forwardCost() float64 { return float64(e.in) * float64(e.out) }
 
 func (e *denseEngine) withFlight(rec *flight.Recorder, track uint64) layerEngine {
@@ -224,24 +212,27 @@ func (e *denseEngine) withFlight(rec *flight.Recorder, track uint64) layerEngine
 	return &c
 }
 
-func (e *denseEngine) forward(x *tensor.Tensor) *tensor.Tensor {
-	flat := x.Reshape(e.in)
-	e.lastIn = flat.Clone()
-	y := e.fwd.MatVec(flat)
-	y.AddInPlace(e.bias)
-	if e.relu {
-		y.Apply(func(v float64) float64 {
-			if v > 0 {
-				return v
+func (e *denseEngine) forward(xs []*tensor.Tensor) []*tensor.Tensor {
+	n := len(xs)
+	y := e.fwd.MatVecColsConsume(arch.PackCols(xs)) // (out × n)
+	yd := y.Data()
+	bias := e.bias.Data()
+	outs := make([]*tensor.Tensor, n)
+	for c := range outs {
+		o := tensor.New(e.out)
+		od := o.Data()
+		for j := 0; j < e.out; j++ {
+			v := yd[j*n+c] + bias[j]
+			// ReLU: v for v > 0, else a literal +0 (for a −0 or NaN sum too).
+			if e.relu && !(v > 0) {
+				v = 0
 			}
-			return 0
-		})
+			od[j] = v
+		}
+		outs[c] = o
 	}
-	e.lastOut = y.Clone()
-	return y
+	return outs
 }
-
-func (e *denseEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, e.lastOut }
 
 func (e *denseEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
 	if !e.relu {
@@ -267,9 +258,10 @@ func (e *denseEngine) derivative(delta, input *tensor.Tensor) {
 	e.gradB.AddInPlace(d)
 }
 
-// propagate computes δ_{l-1} = Wᵀδ through the error array pair.
+// propagate computes δ_{l-1} = Wᵀδ through the error array pair, as a
+// one-column readout.
 func (e *denseEngine) propagate(delta, _ *tensor.Tensor) *tensor.Tensor {
-	return e.bwd.MatVec(delta.Reshape(e.out))
+	return e.bwd.MatVecColsConsume(arch.PackCols([]*tensor.Tensor{delta})).Reshape(e.in)
 }
 
 // convEngine is a convolution stage: a forward array pair holding the kernel
@@ -280,9 +272,6 @@ type convEngine struct {
 	stride, pad         int
 	relu                bool
 	crossbars
-
-	lastIn  *tensor.Tensor
-	lastOut *tensor.Tensor
 }
 
 func newConvEngine(l *nn.Conv, relu bool, bits int, inj *fault.Injector, stage uint64) *convEngine {
@@ -293,8 +282,6 @@ func newConvEngine(l *nn.Conv, relu bool, bits int, inj *fault.Injector, stage u
 		crossbars: newCrossbars(l.Weights().Value, l.Bias().Value, k, bits, inj, stage),
 	}
 }
-
-func (e *convEngine) cloneForInference() layerEngine { c := *e; return &c }
 
 func (e *convEngine) forwardCost() float64 {
 	oh, ow := e.outShape()
@@ -307,17 +294,36 @@ func (e *convEngine) withFlight(rec *flight.Recorder, track uint64) layerEngine 
 	return &c
 }
 
-// forward reads the whole Im2Col plane with one batched readout — the
-// serving path's forwardBatch body — and buffers d_{l-1} and d_l for the
-// backward pass.
-func (e *convEngine) forward(x *tensor.Tensor) *tensor.Tensor {
-	e.lastIn = x.Clone()
-	out := e.forwardBatch([]*tensor.Tensor{x})[0]
-	e.lastOut = out.Clone()
-	return out
+func (e *convEngine) forward(xs []*tensor.Tensor) []*tensor.Tensor {
+	oh, ow := e.outShape()
+	nwin := oh * ow
+	outs := make([]*tensor.Tensor, len(xs))
+	// Im2Col lays an image's windows out as columns with the shape
+	// MatVecCols wants, and each window quantizes against its own absolute
+	// maximum, as one single-vector readout per window would, so one
+	// batched readout covers the whole plane. The readout quantizes the
+	// columns in place, so every image of the batch unrolls into the same
+	// buffer. Its (outC × nwin) result is already the (outC, oh, ow)
+	// plane's layout, so bias and ReLU apply in place too.
+	cols := tensor.New(e.inC*e.k*e.k, nwin)
+	for idx, x := range xs {
+		tensor.Im2ColInto(cols, x, e.k, e.k, e.stride, e.pad)
+		y := e.fwd.MatVecColsConsume(cols)
+		yd := y.Data()
+		for c := 0; c < e.outC; c++ {
+			b := e.bias.At(c)
+			for wdx := 0; wdx < nwin; wdx++ {
+				v := yd[c*nwin+wdx] + b
+				if e.relu && v < 0 {
+					v = 0
+				}
+				yd[c*nwin+wdx] = v
+			}
+		}
+		outs[idx] = y.Reshape(e.outC, oh, ow)
+	}
+	return outs
 }
-
-func (e *convEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, e.lastOut }
 
 func (e *convEngine) outShape() (int, int) {
 	return tensor.ConvOutDim(e.inH, e.k, e.stride, e.pad), tensor.ConvOutDim(e.inW, e.k, e.stride, e.pad)
@@ -369,12 +375,14 @@ type poolEngine struct {
 	inC, inH, inW, k int
 	avg              bool
 	weightless
-	lastIn *tensor.Tensor
 }
 
-func (e *poolEngine) forward(x *tensor.Tensor) *tensor.Tensor {
-	e.lastIn = x.Clone()
-	return e.pool(x)
+func (e *poolEngine) forward(xs []*tensor.Tensor) []*tensor.Tensor {
+	outs := make([]*tensor.Tensor, len(xs))
+	for idx, x := range xs {
+		outs[idx] = e.pool(x)
+	}
+	return outs
 }
 
 // pool takes each k×k window's first maximum in row-major scan order, or
@@ -434,8 +442,6 @@ func (e *poolEngine) mean(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-func (e *poolEngine) buffered() (in, out *tensor.Tensor) { return e.lastIn, nil }
-
 func (e *poolEngine) maskError(raw, _ *tensor.Tensor) *tensor.Tensor {
 	return raw.Reshape(e.inC, e.inH/e.k, e.inW/e.k)
 }
@@ -468,30 +474,27 @@ func (e *poolEngine) propagate(delta, input *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-func (e *poolEngine) cloneForInference() layerEngine { c := *e; return &c }
-
 func (e *poolEngine) forwardCost() float64 { return float64(e.inC) * float64(e.inH) * float64(e.inW) }
 
 func (e *poolEngine) withFlight(*flight.Recorder, uint64) layerEngine { return e }
 
 // lutEngine is an elementwise activation stage through the activation
 // component's configurable LUT (Section 4.2.3): the sigmoid. Backward masks
-// the error with f′ = y(1−y) of the buffered output, the rule
+// the error with f′ = y(1−y) of the stage output, the rule
 // nn.Sigmoid.Backward applies.
 type lutEngine struct {
 	lut *reram.LUT
 	n   int // elements per input
 	weightless
-	lastOut *tensor.Tensor
 }
 
-func (e *lutEngine) forward(x *tensor.Tensor) *tensor.Tensor {
-	y := x.Map(e.lut.Lookup)
-	e.lastOut = y.Clone()
-	return y
+func (e *lutEngine) forward(xs []*tensor.Tensor) []*tensor.Tensor {
+	outs := make([]*tensor.Tensor, len(xs))
+	for idx, x := range xs {
+		outs[idx] = x.Map(e.lut.Lookup)
+	}
+	return outs
 }
-
-func (e *lutEngine) buffered() (in, out *tensor.Tensor) { return nil, e.lastOut }
 
 func (e *lutEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
 	d := tensor.New(output.Shape()...)
@@ -504,8 +507,6 @@ func (e *lutEngine) maskError(raw, output *tensor.Tensor) *tensor.Tensor {
 }
 
 func (e *lutEngine) propagate(delta, _ *tensor.Tensor) *tensor.Tensor { return delta }
-
-func (e *lutEngine) cloneForInference() layerEngine { c := *e; return &c }
 
 func (e *lutEngine) forwardCost() float64 { return float64(e.n) }
 
@@ -526,7 +527,8 @@ func (weightless) reprogram() {}
 func (weightless) weights() []*tensor.Tensor { return nil }
 
 // errorBackward is one stage's error-array pass: accumulate its partial
-// derivatives from (δ, buffered input), then return the raw upstream error.
+// derivatives from (δ, stage input d_{l-1}), then return the raw upstream
+// error.
 func errorBackward(e layerEngine, delta, input *tensor.Tensor) *tensor.Tensor {
 	e.derivative(delta, input)
 	return e.propagate(delta, input)

@@ -39,9 +39,11 @@ func (a *Accelerator) SetFlight(rec *flight.Recorder) {
 //
 //	depth <= 0: no spans (equivalent to a nil recorder)
 //	depth == 1: one core_layer_forward span per layer per Infer/InferBatch
-//	depth >= 2: additionally one arch_readout/arch_readout_cols span per
-//	            crossbar readout, via traced shallow clones of the shared
-//	            quantized arrays (programmed codes stay shared)
+//	depth >= 2: additionally one arch_readout_cols span per crossbar
+//	            readout, via traced shallow clones of the weighted engines
+//	            and their quantized arrays (programmed codes stay shared);
+//	            the clones replace entries of this replica's own engine
+//	            list, so its parent and siblings stay untraced
 func (r *Replica) AttachFlight(rec *flight.Recorder, track uint64, depth int) {
 	if rec == nil || depth <= 0 {
 		return

@@ -42,7 +42,7 @@ func TestSigmoidAndAvgPoolBackwardMatchFramework(t *testing.T) {
 	p := nn.NewAvgPool("p", 3, 8, 8, 2)
 	pool := &poolEngine{inC: 3, inH: 8, inW: 8, k: 2, avg: true}
 	x := tensor.New(3, 8, 8).RandNormal(rng, 0, 1)
-	if err := sameBits(pool.forward(x), p.Forward(x)); err != nil {
+	if err := sameBits(pool.forward([]*tensor.Tensor{x})[0], p.Forward(x)); err != nil {
 		t.Fatalf("avg pool forward: %v", err)
 	}
 	d := tensor.New(3, 4, 4).RandNormal(rng, 0, 1)

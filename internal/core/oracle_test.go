@@ -15,13 +15,30 @@ import (
 	"pipelayer/internal/testutil"
 )
 
-// The training datapath reads a conv plane with one batched readout and
-// walks the backward kernels over raw slices. This file keeps the
-// straightforward per-window and per-element formulations they replaced as
-// an independent oracle: one single-vector MatVec per sliding window, and
-// every tensor access through At/Set. Serving now shares MatVecCols with
-// training, so without this oracle nothing would check the conv datapath
-// against a second implementation.
+// The training datapath reads a conv plane, and a dense stage's one image,
+// with one batched readout and walks the backward kernels over raw slices.
+// This file keeps the straightforward per-window and per-element
+// formulations they replaced as an independent oracle: one single-vector
+// MatVec per sliding window or dense image, and every tensor access through
+// At/Set. Serving shares MatVecCols with training, so without this oracle
+// nothing would check the datapath against a second implementation.
+
+// refDenseForward is the per-image dense forward the one-column readout
+// replaced: a single-vector MatVec, the bias added in place, then the ReLU
+// clamp to v for v > 0 and a literal 0 otherwise.
+func refDenseForward(e *denseEngine, x *tensor.Tensor) *tensor.Tensor {
+	y := e.fwd.MatVec(x.Reshape(e.in))
+	y.AddInPlace(e.bias)
+	if e.relu {
+		y.Apply(func(v float64) float64 {
+			if v > 0 {
+				return v
+			}
+			return 0
+		})
+	}
+	return y
+}
 
 // refConvForward reads the forward array once per sliding window.
 func refConvForward(e *convEngine, x *tensor.Tensor) *tensor.Tensor {
@@ -182,13 +199,13 @@ func sameBits(a, b *tensor.Tensor) error {
 
 // TestTrainingDatapathMatchesOracle runs tiny-cnn and tiny-mlp images
 // forward and back through every stage and checks, stage by stage, that the
-// conv forward, the propagate half and the accumulated ∂W/∂b equal the
-// per-window and per-element oracle bit for bit. Around the images it checks
-// the two-pass weight update, and the reprogram that shares its second pass,
-// against the sequence they replaced, run on a twin accelerator (see
-// checkUpdateAgainstOracle). All of it at workers {1, 2, 7, GOMAXPROCS} ×
-// faults {none, remap, remap+degrade, wear}, with drift aged into the faulty
-// arrays.
+// conv, dense and pool forward, the propagate half and the accumulated
+// ∂W/∂b equal the per-window, per-image and per-element oracle bit for bit.
+// Around the images it checks the two-pass weight update, and the reprogram
+// that shares its second pass, against the sequence they replaced, run on a
+// twin accelerator (see checkUpdateAgainstOracle). All of it at workers
+// {1, 2, 7, GOMAXPROCS} × faults {none, remap, remap+degrade, wear}, with
+// drift aged into the faulty arrays.
 func TestTrainingDatapathMatchesOracle(t *testing.T) {
 	modes := []struct {
 		name string
@@ -260,26 +277,27 @@ func checkDatapathAgainstOracle(t *testing.T, a *Accelerator, samples []nn.Sampl
 		}
 	}
 	for n, s := range samples {
-		x := s.Input
+		acts := a.forward(s.Input)
 		for i, e := range a.engines {
 			var want *tensor.Tensor
 			switch e := e.(type) {
 			case *convEngine:
-				want = refConvForward(e, x)
+				want = refConvForward(e, acts[i])
+			case *denseEngine:
+				want = refDenseForward(e, acts[i])
 			case *poolEngine:
-				want = refPool(e, x)
+				want = refPool(e, acts[i])
 			}
-			x = e.forward(x)
 			if want != nil {
-				if err := sameBits(x, want); err != nil {
+				if err := sameBits(acts[i+1], want); err != nil {
 					t.Fatalf("image %d stage %d forward: %v", n, i, err)
 				}
 			}
 		}
-		delta := a.loss.Grad(x, nn.OneHot(s.Label, a.spec.Classes))
+		delta := a.loss.Grad(acts[len(acts)-1], nn.OneHot(s.Label, a.spec.Classes))
 		for i := len(a.engines) - 1; i >= 0; i-- {
 			e := a.engines[i]
-			in, out := e.buffered()
+			in, out := acts[i], acts[i+1]
 			d := e.maskError(delta, out)
 			e.derivative(d, in)
 			if grads[i].w != nil {
@@ -300,6 +318,8 @@ func checkDatapathAgainstOracle(t *testing.T, a *Accelerator, samples []nn.Sampl
 			switch e := e.(type) {
 			case *convEngine:
 				want = refConvPropagate(e, d)
+			case *denseEngine:
+				want = e.bwd.MatVec(d.Reshape(e.out))
 			case *poolEngine:
 				want = refMaxPoolBackward(d, in.Reshape(e.inC, e.inH, e.inW), e.k)
 			}

@@ -200,7 +200,7 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 				} else {
 					x = dRing[op.stage-1].peek(op.image)
 				}
-				y := a.engines[op.stage-1].forward(x)
+				y := a.engines[op.stage-1].forward([]*tensor.Tensor{x})[0]
 				writes[oi] = append(writes[oi], pendingWrite{dRing[op.stage], op.image, y})
 			case opErrLast:
 				y := dRing[L].consume(op.image)
@@ -221,19 +221,7 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 				// Only ∂W: nothing upstream consumes the first stage's error.
 				a.engines[0].derivative(delta, samples[op.image].Input)
 			case opUpdate:
-				for i, e := range a.engines {
-					ut0 := a.flight.Now()
-					if tel != nil {
-						ut := tel[i].update.Start()
-						e.applyUpdate(lr, batch, a.update)
-						ut.Stop()
-						tel[i].updates.Inc()
-						tel[i].cells.Add(tel[i].nCells)
-					} else {
-						e.applyUpdate(lr, batch, a.update)
-					}
-					a.flight.Record("core_stage_update", 0, flightTrainTrackBase+uint64(i), ut0, int64(i))
-				}
+				a.updateStages(tel, lr, batch)
 			}
 			if timed {
 				tm.Stop()

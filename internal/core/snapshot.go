@@ -2,8 +2,8 @@ package core
 
 // Weight snapshot export and serving-machine rebuild — the host-side glue
 // for train-while-serve. The trainer's crossbars mutate continuously, and
-// inference replicas share the programmed arrays (cloneForInference), so a
-// replica cloned from the trainer would see torn weights mid-update. The
+// inference replicas run the trainer's own engines over its programmed
+// arrays, so a replica of the trainer would see torn weights mid-update. The
 // online supervisor instead exports the float masters to a host network,
 // persists it via checkpoint v2, and rebuilds an immutable serving machine
 // from that snapshot: candidate versions are frozen at export time by

@@ -64,9 +64,10 @@ func BenchmarkUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, s := range bc.samples {
-				delta := a.loss.Grad(a.forward(s.Input), nn.OneHot(s.Label, bc.spec.Classes))
+				acts := a.forward(s.Input)
+				delta := a.loss.Grad(acts[len(acts)-1], nn.OneHot(s.Label, bc.spec.Classes))
 				for i := len(a.engines) - 1; i >= 0; i-- {
-					delta = a.backward(i, delta)
+					delta = a.backward(nil, i, delta, acts[i], acts[i+1])
 				}
 			}
 			var stages []*crossbars

@@ -11,7 +11,7 @@
 // request has waited MaxWait; workers take whole batches from an unbuffered
 // dispatch channel and carry each through one shared shard chain
 // (internal/shard): S layer-range stages, stage k a pool of g_k replicas
-// cloned from the trained machine, one multi-column readout per weighted
+// of the trained machine, one multi-column readout per weighted
 // layer. Unsharded serving is the one-stage chain. Close stops intake,
 // flushes everything in flight, and joins every goroutine: a clean drain,
 // by construction.
@@ -520,8 +520,8 @@ func (s *Server) noteDequeued(r *request) {
 // boundary: every request in a batch is computed by, and attributed to,
 // exactly one weight version. Requests whose context died in the queue are
 // answered with their context error and excluded from the readout; a batch
-// that shrinks to one request takes the serial single-request path
-// (identical bits, no packing overhead).
+// that shrinks to one request is a batch of one, the one-column readout the
+// serial Replica.Infer runs.
 func (s *Server) worker(track uint64, dispatch <-chan []*request) {
 	defer s.wg.Done()
 	for batch := range dispatch {

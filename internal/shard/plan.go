@@ -2,7 +2,7 @@
 // shards and runs batches through the shard chain: shard k computes batch
 // i+1 while shard k+1 computes batch i — the paper's Figure 6 inter-layer
 // pipeline lifted out of the cycle simulator into the real serving path.
-// Each shard is a pool of accelerator clones (core.Replica.Sub), sized by
+// Each shard is a pool of sub-replicas (core.Replica.Sub), sized by
 // the paper's replication factor G (§3.2.3) under a total replica budget;
 // a caller carries its batch from pool to pool. The chain's outputs stay
 // bit-identical to the unsharded path because every shard runs the very

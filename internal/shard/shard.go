@@ -113,10 +113,10 @@ func plan(rep *core.Replica, cfg Config) ([]Range, []int, error) {
 	return ranges, stageReplicas(stageCosts, cfg.Replicas), nil
 }
 
-// New partitions the replica into shards and clones each shard's replicas.
+// New partitions the replica into shards and gives each shard its replicas.
 // The replica itself is not retained: every shard replica is a fresh
-// sub-replica clone sharing the programmed arrays, so the caller may
-// discard rep.
+// sub-replica over the same stateless engines and programmed arrays, so the
+// caller may discard rep.
 func New(rep *core.Replica, cfg Config) (*Chain, error) {
 	if rep == nil {
 		return nil, errors.New("shard: nil replica")
