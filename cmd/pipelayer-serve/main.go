@@ -377,7 +377,7 @@ func runSmoke(acc *core.Accelerator, cfg serve.Config, samples []nn.Sample, n in
 		if err != nil {
 			return err
 		}
-		fmt.Printf("smoke     : %d traced requests decompose into queue+batch+compute spans (within 5%% of e2e)\n", checked)
+		fmt.Printf("smoke     : %d traced requests decompose exactly into queue+batch+compute spans\n", checked)
 	}
 	return nil
 }
@@ -385,24 +385,15 @@ func runSmoke(acc *core.Accelerator, cfg serve.Config, samples []nn.Sample, n in
 // bitIdentical reports whether a response carries exactly the reference's
 // scores, compared by IEEE-754 bits, and their argmax.
 func bitIdentical(res serve.Result, want *tensor.Tensor) bool {
-	if res.Scores == nil || res.Scores.Size() != want.Size() {
-		return false
-	}
-	for i := 0; i < want.Size(); i++ {
-		if math.Float64bits(res.Scores.At(i)) != math.Float64bits(want.At(i)) {
-			return false
-		}
-	}
 	_, class := want.Max()
-	return res.Class == class
+	return res.Scores != nil && tensor.Identical(res.Scores, want) && res.Class == class
 }
 
 // verifySpanSums checks the tracing contract on the recorded requests: each
-// one's queue-wait + batch-wait + compute durations must land within 5% of
-// its end-to-end serve_request span. Adjacent spans share boundary
-// timestamps, so in practice the sum tiles exactly; the tolerance only
-// leaves headroom for future instrumentation. Traces torn by ring-buffer
-// overwrite (fewer than all four stages surviving) are skipped.
+// one's queue-wait + batch-wait + compute durations must sum exactly to its
+// end-to-end serve_request span, because adjacent spans share the one
+// reading of their boundary. Traces torn by ring-buffer overwrite (fewer
+// than all four stages surviving) are skipped.
 func verifySpanSums(rec *flight.Recorder) (int, error) {
 	type stages struct {
 		queue, batch, compute, e2e int64
@@ -438,13 +429,8 @@ func verifySpanSums(rec *flight.Recorder) (int, error) {
 		if st.seen != 4 {
 			continue
 		}
-		sum := st.queue + st.batch + st.compute
-		diff := sum - st.e2e
-		if diff < 0 {
-			diff = -diff
-		}
-		if float64(diff) > 0.05*float64(st.e2e) {
-			return 0, fmt.Errorf("smoke: trace %d stage sum %dns deviates >5%% from end-to-end %dns", tr, sum, st.e2e)
+		if sum := st.queue + st.batch + st.compute; sum != st.e2e {
+			return 0, fmt.Errorf("smoke: trace %d stage sum %dns differs from end-to-end %dns", tr, sum, st.e2e)
 		}
 		checked++
 	}

@@ -69,7 +69,7 @@ func main() {
 	ws, wp := seq.WeightsSnapshot(), pipe.WeightsSnapshot()
 	identical := true
 	for i := range ws {
-		if !tensor.Equal(ws[i], wp[i], 0) {
+		if !tensor.Identical(ws[i], wp[i]) {
 			identical = false
 		}
 	}

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -10,14 +11,19 @@ import (
 	"pipelayer/internal/nn"
 )
 
-// SaveFile atomically writes a checkpoint to path: the payload goes to a
-// temp file in the same directory, is flushed to stable storage, and only
-// then renamed over the target. A crash at any point leaves either the old
-// checkpoint or the new one — never a torn file — which is what makes
-// auto-resume after a kill safe.
-func SaveFile(path string, net *nn.Network, epoch int) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// SaveFile atomically writes a checkpoint to path (see writeAtomic). A
+// crash at any point leaves either the old checkpoint or the new one — never
+// a torn file — which is what makes auto-resume after a kill safe.
+func SaveFile(path string, net *nn.Network, epoch int) error {
+	return writeAtomic(path, func(w io.Writer) error { return SaveState(w, net, epoch) })
+}
+
+// writeAtomic publishes a file at path: write fills a temp file in the same
+// directory, which is flushed to stable storage and only then renamed over
+// path. A crash leaves either the old file or the new one, and a failure
+// leaves no temp file behind.
+func writeAtomic(path string, write func(io.Writer) error) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: creating temp file: %w", err)
 	}
@@ -27,7 +33,7 @@ func SaveFile(path string, net *nn.Network, epoch int) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if err = SaveState(tmp, net, epoch); err != nil {
+	if err = write(tmp); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {
@@ -37,8 +43,7 @@ func SaveFile(path string, net *nn.Network, epoch int) (err error) {
 		return fmt.Errorf("checkpoint: closing temp file: %w", err)
 	}
 	if err = os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: publishing checkpoint: %w", err)
+		return fmt.Errorf("checkpoint: publishing %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -310,37 +311,19 @@ func (s *Store) upsertLocked(e ManifestEntry) {
 	})
 }
 
-// writeManifestLocked publishes the manifest atomically (temp+fsync+rename),
-// mirroring SaveFile so a crash leaves either the old or the new manifest.
-func (s *Store) writeManifestLocked() (err error) {
+// writeManifestLocked publishes the manifest atomically (writeAtomic), like
+// SaveFile, so a crash leaves either the old or the new manifest.
+func (s *Store) writeManifestLocked() error {
 	s.man.SchemaVersion = ManifestSchemaVersion
 	raw, err := json.MarshalIndent(s.man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding manifest: %w", err)
 	}
 	raw = append(raw, '\n')
-	tmp, err := os.CreateTemp(s.dir, manifestName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating manifest temp file: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
+	return writeAtomic(filepath.Join(s.dir, manifestName), func(w io.Writer) error {
+		if _, err := w.Write(raw); err != nil {
+			return fmt.Errorf("checkpoint: writing manifest: %w", err)
 		}
-	}()
-	if _, err = tmp.Write(raw); err != nil {
-		return fmt.Errorf("checkpoint: writing manifest: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: syncing manifest: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing manifest temp file: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), filepath.Join(s.dir, manifestName)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: publishing manifest: %w", err)
-	}
-	return nil
+		return nil
+	})
 }

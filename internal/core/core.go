@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/rand"
 	"sync/atomic"
+	"time"
 
 	"pipelayer/internal/arch"
 	"pipelayer/internal/energy"
@@ -69,11 +70,11 @@ type Accelerator struct {
 	// every crossbar at the next Weight_load.
 	faults *fault.Injector
 
-	// flight is the optional flight recorder (SetFlight); flightImage is the
-	// 1-based ordinal of the image the serial Train loop is processing, the
-	// trace id its spans attribute to.
-	flight      *flight.Recorder
-	flightImage uint64
+	// flight is the optional flight recorder (SetFlight). clock is
+	// flight.Clock(flight): every timed boundary is read from it once, and
+	// the reading serves both the registry span and the flight event.
+	flight *flight.Recorder
+	clock  func() int64
 
 	topologySet bool
 	loaded      bool
@@ -95,7 +96,7 @@ type Report struct {
 
 // New creates an unconfigured accelerator with the given device model.
 func New(model energy.Model) *Accelerator {
-	return &Accelerator{model: model, loss: nn.SoftmaxLoss{}, update: arch.NewUpdateUnit(model.SpikeBits)}
+	return &Accelerator{model: model, loss: nn.SoftmaxLoss{}, update: arch.NewUpdateUnit(model.SpikeBits), clock: flight.Clock(nil)}
 }
 
 // TopologySet configures the layer connections and datapaths (the paper's
@@ -174,14 +175,14 @@ func (a *Accelerator) tickEngines(n int64) {
 // full fault path (wear, transient failures, remap), so refreshing is not
 // free: it spends endurance to buy back accuracy.
 func (a *Accelerator) refreshEngines() {
-	if a.metrics != nil {
-		t := a.metrics.Span("fault_refresh_seconds").Start()
-		defer t.Stop()
-	}
+	t0 := a.clock()
 	for _, e := range a.engines {
 		e.reprogram()
 	}
 	a.faults.NoteRefresh()
+	if a.metrics != nil {
+		a.metrics.Span("fault_refresh_seconds").Add(time.Duration(a.clock() - t0))
+	}
 }
 
 // maybeRefresh runs a refresh every cfg.Refresh units (images for the serial
@@ -223,29 +224,19 @@ func (a *Accelerator) CopyToCPU(t *tensor.Tensor) *tensor.Tensor {
 
 // forward runs one image through the analog datapath and returns the stage
 // boundaries: acts[i] is stage i's input and acts[i+1] its output, the d
-// values the backward pass reads. Each stage is timed when telemetry is
-// attached.
-func (a *Accelerator) forward(x *tensor.Tensor) []*tensor.Tensor {
+// values the backward pass reads. Each stage's forward is closed by
+// endStage and attributed to image, the image's 1-based ordinal.
+func (a *Accelerator) forward(x *tensor.Tensor, image uint64) []*tensor.Tensor {
 	tel := a.stageTelemetrySlice()
 	acts := make([]*tensor.Tensor, len(a.engines)+1)
 	acts[0] = x
-	for i := range a.engines {
-		ft := a.flight.Now()
+	for i, e := range a.engines {
+		t0 := a.clock()
 		// acts[i:i+1:i+1] is the one-image batch, sliced without a copy.
-		acts[i+1] = a.stageForward(tel, i, acts[i:i+1:i+1])[0]
-		a.flight.Record("core_stage_forward", a.flightImage, flightTrainTrackBase+uint64(i), ft, int64(i))
+		acts[i+1] = e.forward(acts[i : i+1 : i+1])[0]
+		a.endStage(tel, stageForward, i, image, t0)
 	}
 	return acts
-}
-
-// stageForward runs stage i on xs, under its forward span when telemetry is
-// attached.
-func (a *Accelerator) stageForward(tel []stageTelemetry, i int, xs []*tensor.Tensor) []*tensor.Tensor {
-	if tel != nil {
-		t := tel[i].forward.Start()
-		defer t.Stop()
-	}
-	return a.engines[i].forward(xs)
 }
 
 // Test runs inference over the samples (the paper's Test mode) and reports
@@ -270,8 +261,12 @@ func (a *Accelerator) Test(samples []nn.Sample) (Report, error) {
 		hits := 0
 		for _, s := range samples[lo:hi] {
 			xs := []*tensor.Tensor{s.Input}
-			for i := range a.engines {
-				xs = a.stageForward(tel, i, xs)
+			for i, e := range a.engines {
+				t0 := a.clock()
+				xs = e.forward(xs)
+				if tel != nil {
+					tel[i].spans[stageForward].Add(time.Duration(a.clock() - t0))
+				}
 			}
 			if _, idx := xs[0].Max(); idx == s.Label {
 				hits++
@@ -320,23 +315,22 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 	images := int64(0)
 	for start := 0; start < len(samples); start += batch {
 		for _, s := range samples[start : start+batch] {
-			a.flightImage = uint64(images) + 1
-			acts := a.forward(s.Input)
+			images++
+			acts := a.forward(s.Input, uint64(images))
 			y := acts[len(acts)-1]
 			t := nn.OneHot(s.Label, classes)
 			totalLoss += a.loss.Loss(y, t)
 			delta := a.loss.Grad(y, t)
 			for i := len(a.engines) - 1; i >= 0; i-- {
-				ft := a.flight.Now()
-				delta = a.backward(tel, i, delta, acts[i], acts[i+1])
-				a.flight.Record("core_stage_backward", a.flightImage, flightTrainTrackBase+uint64(i), ft, int64(i))
+				t0 := a.clock()
+				delta = a.backward(i, delta, acts[i], acts[i+1])
+				a.endStage(tel, stageBackward, i, uint64(images), t0)
 			}
 			// One drift tick per processed image; periodic refresh rewrites
 			// drifted conductances from the masters. (The per-batch update
 			// below reprograms anyway, so drift only accumulates within a
 			// batch — physically faithful: programming resets the filament.)
 			a.tickEngines(1)
-			images++
 			a.maybeRefresh(images)
 		}
 		a.updateStages(tel, lr, batch)
@@ -353,21 +347,18 @@ func (a *Accelerator) Train(samples []nn.Sample, batch int, lr float64) (Report,
 }
 
 // updateStages applies the batch update to every stage, the Section 4.4
-// read–modify–write that ends a batch in both executors, timing and counting
-// each stage's update when telemetry is attached.
+// read–modify–write that ends a batch in both executors, closing each
+// stage's update through endStage and counting it when telemetry is
+// attached.
 func (a *Accelerator) updateStages(tel []stageTelemetry, lr float64, batch int) {
 	for i, e := range a.engines {
-		ft := a.flight.Now()
+		t0 := a.clock()
+		e.applyUpdate(lr, batch, a.update)
+		a.endStage(tel, stageUpdate, i, 0, t0)
 		if tel != nil {
-			tm := tel[i].update.Start()
-			e.applyUpdate(lr, batch, a.update)
-			tm.Stop()
 			tel[i].updates.Inc()
 			tel[i].cells.Add(tel[i].nCells)
-		} else {
-			e.applyUpdate(lr, batch, a.update)
 		}
-		a.flight.Record("core_stage_update", 0, flightTrainTrackBase+uint64(i), ft, int64(i))
 	}
 }
 
@@ -439,17 +430,12 @@ func (a *Accelerator) checkSamples(samples []nn.Sample) error {
 }
 
 // backward is the serial executor's backward through stage i, given the
-// stage's input and output from forward and timed under its backward span
-// when telemetry is attached: mask the raw error with f′ of the output,
-// accumulate the stage's partial derivatives from the input, and return the
-// raw upstream error. Stage 0's upstream error has no consumer, so the first
-// stage only accumulates — the pipelined schedule's opGradFirst — and
-// returns nil.
-func (a *Accelerator) backward(tel []stageTelemetry, i int, raw, in, out *tensor.Tensor) *tensor.Tensor {
-	if tel != nil {
-		t := tel[i].backward.Start()
-		defer t.Stop()
-	}
+// stage's input and output from forward: mask the raw error with f′ of the
+// output, accumulate the stage's partial derivatives from the input, and
+// return the raw upstream error. Stage 0's upstream error has no consumer,
+// so the first stage only accumulates — the pipelined schedule's
+// opGradFirst — and returns nil.
+func (a *Accelerator) backward(i int, raw, in, out *tensor.Tensor) *tensor.Tensor {
 	e := a.engines[i]
 	d := e.maskError(raw, out)
 	if i == 0 {

@@ -62,7 +62,7 @@ func TestExecutorParallelDeterminism(t *testing.T) {
 			t.Fatalf("%d workers: %d weight tensors, want %d", w, len(got.weights), len(ref.weights))
 		}
 		for i := range ref.weights {
-			if !tensor.Equal(got.weights[i], ref.weights[i], 0) {
+			if !tensor.Identical(got.weights[i], ref.weights[i]) {
 				t.Errorf("%d workers: weight tensor %d differs from serial", w, i)
 			}
 		}

@@ -72,7 +72,7 @@ func assertSameResult(t *testing.T, got, want trainResult, label string) {
 		t.Fatalf("%s: %d weight tensors, want %d", label, len(got.weights), len(want.weights))
 	}
 	for i := range want.weights {
-		if !tensor.Equal(got.weights[i], want.weights[i], 0) {
+		if !tensor.Identical(got.weights[i], want.weights[i]) {
 			t.Errorf("%s: weight tensor %d diverged", label, i)
 		}
 	}

@@ -19,11 +19,13 @@ const flightTrainTrackBase uint64 = 100
 // machine instead of the cycle simulator. A nil recorder (the default)
 // disables tracing at the cost of one pointer test per operation.
 //
-// The accelerator never reads wall-clock time itself: timestamps come from
-// the recorder's injected clock, keeping this package clean under the
-// nondeterminism analyzer.
+// The accelerator never reads wall-clock time itself: it reads every stage
+// boundary once from flight.Clock(rec), the recorder's injected clock while
+// one is attached, and gives that reading to both the event and the stage's
+// registry span. This keeps the package clean under the nondeterminism
+// analyzer.
 func (a *Accelerator) SetFlight(rec *flight.Recorder) {
-	a.flight = rec
+	a.flight, a.clock = rec, flight.Clock(rec)
 	if rec == nil {
 		return
 	}

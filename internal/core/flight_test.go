@@ -34,7 +34,7 @@ func TestReplicaFlightDepths(t *testing.T) {
 		r.AttachFlight(rec, 3, depth)
 		got := r.InferBatch(xs)
 		for i := range want {
-			if !tensor.Equal(got[i], want[i], 0) {
+			if !tensor.Identical(got[i], want[i]) {
 				t.Fatalf("depth %d: traced inference diverged at sample %d", depth, i)
 			}
 		}

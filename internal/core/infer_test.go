@@ -41,7 +41,7 @@ func assertBatchMatchesSerial(t *testing.T, a *Accelerator, samples []nn.Sample,
 	batched := r.InferBatch(xs)
 	for i, x := range xs {
 		want := r.Infer(x)
-		if !tensor.Equal(batched[i], want, 0) {
+		if !tensor.Identical(batched[i], want) {
 			t.Fatalf("%s: sample %d: batched inference diverged from serial", label, i)
 		}
 	}

@@ -277,7 +277,7 @@ func checkDatapathAgainstOracle(t *testing.T, a *Accelerator, samples []nn.Sampl
 		}
 	}
 	for n, s := range samples {
-		acts := a.forward(s.Input)
+		acts := a.forward(s.Input, 0)
 		for i, e := range a.engines {
 			var want *tensor.Tensor
 			switch e := e.(type) {

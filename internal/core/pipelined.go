@@ -7,7 +7,6 @@ import (
 
 	"pipelayer/internal/nn"
 	"pipelayer/internal/parallel"
-	"pipelayer/internal/telemetry"
 	"pipelayer/internal/tensor"
 )
 
@@ -147,9 +146,6 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 
 	totalLoss := 0.0
 	classes := a.spec.Classes
-	// Per-stage spans: forward ops time against their stage; each combined
-	// error op (opErrLast/opErrChain/opGradFirst) times against the stage
-	// whose error arrays execute it.
 	tel := a.stageTelemetrySlice()
 	pool := parallel.Default()
 	for c := 1; c <= last; c++ {
@@ -175,23 +171,15 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 		ops := byCycle[c]
 		writes := make([][]pendingWrite, len(ops))
 		losses := make([]float64, len(ops))
+		// Every op closes against the stage whose arrays execute it, so the
+		// spans and flight events replay the Figure 6 schedule from the live
+		// machine: a forward op as its stage's forward, each combined error
+		// op (opErrLast/opErrChain/opGradFirst) as a backward of the stage
+		// whose error arrays run it, attributed to the 1-based image ordinal.
 		runOp := func(oi int) {
 			op := ops[oi]
-			ft := a.flight.Now()
-			var tm telemetry.SpanTimer
-			timed := false
-			if tel != nil {
-				switch op.kind {
-				case opForward:
-					tm, timed = tel[op.stage-1].forward.Start(), true
-				case opErrLast:
-					tm, timed = tel[L-1].backward.Start(), true
-				case opErrChain:
-					tm, timed = tel[op.stage].backward.Start(), true
-				case opGradFirst:
-					tm, timed = tel[0].backward.Start(), true
-				}
-			}
+			image := uint64(op.image) + 1
+			t0 := a.clock()
 			switch op.kind {
 			case opForward:
 				var x *tensor.Tensor
@@ -202,6 +190,7 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 				}
 				y := a.engines[op.stage-1].forward([]*tensor.Tensor{x})[0]
 				writes[oi] = append(writes[oi], pendingWrite{dRing[op.stage], op.image, y})
+				a.endStage(tel, stageForward, op.stage-1, image, t0)
 			case opErrLast:
 				y := dRing[L].consume(op.image)
 				t := nn.OneHot(samples[op.image].Label, classes)
@@ -209,6 +198,7 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 				raw := a.loss.Grad(y, t)
 				g := a.engines[L-1].maskError(raw, y)
 				writes[oi] = append(writes[oi], pendingWrite{deltaRing[L], op.image, g})
+				a.endStage(tel, stageBackward, L-1, image, t0)
 			case opErrChain:
 				l := op.stage // producing δ_l from δ_{l+1}
 				delta := deltaRing[l+1].consume(op.image)
@@ -216,28 +206,14 @@ func (a *Accelerator) TrainPipelined(samples []nn.Sample, batch int, lr float64)
 				raw := errorBackward(a.engines[l], delta, dl)
 				g := a.engines[l-1].maskError(raw, dl)
 				writes[oi] = append(writes[oi], pendingWrite{deltaRing[l], op.image, g})
+				a.endStage(tel, stageBackward, l, image, t0)
 			case opGradFirst:
 				delta := deltaRing[1].consume(op.image)
 				// Only ∂W: nothing upstream consumes the first stage's error.
 				a.engines[0].derivative(delta, samples[op.image].Input)
+				a.endStage(tel, stageBackward, 0, image, t0)
 			case opUpdate:
 				a.updateStages(tel, lr, batch)
-			}
-			if timed {
-				tm.Stop()
-			}
-			// Flight spans replay the Figure 6 schedule from the live machine:
-			// every op times against the stage whose arrays execute it,
-			// attributed to its 1-based image ordinal.
-			switch op.kind {
-			case opForward:
-				a.flight.Record("core_stage_forward", uint64(op.image)+1, flightTrainTrackBase+uint64(op.stage-1), ft, int64(op.stage-1))
-			case opErrLast:
-				a.flight.Record("core_stage_backward", uint64(op.image)+1, flightTrainTrackBase+uint64(L-1), ft, int64(L-1))
-			case opErrChain:
-				a.flight.Record("core_stage_backward", uint64(op.image)+1, flightTrainTrackBase+uint64(op.stage), ft, int64(op.stage))
-			case opGradFirst:
-				a.flight.Record("core_stage_backward", uint64(op.image)+1, flightTrainTrackBase, ft, 0)
 			}
 		}
 		serial := len(ops) == 1

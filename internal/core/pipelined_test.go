@@ -52,7 +52,7 @@ func TestPipelinedTrainMatchesSequential(t *testing.T) {
 				t.Fatalf("snapshot lengths differ: %d vs %d", len(ws), len(wp))
 			}
 			for i := range ws {
-				if !tensor.Equal(ws[i], wp[i], 0) {
+				if !tensor.Identical(ws[i], wp[i]) {
 					t.Fatalf("weight tensor %d differs between sequential and pipelined training", i)
 				}
 			}
@@ -76,7 +76,7 @@ func TestPipelinedTrainMatchesSequentialCNN(t *testing.T) {
 			}
 			ws, wp := seq.WeightsSnapshot(), pipe.WeightsSnapshot()
 			for i := range ws {
-				if !tensor.Equal(ws[i], wp[i], 0) {
+				if !tensor.Identical(ws[i], wp[i]) {
 					t.Fatalf("CNN weight tensor %d differs", i)
 				}
 			}

@@ -31,7 +31,7 @@ func TestExportWeightsRoundTrip(t *testing.T) {
 		t.Fatalf("exported %d params, accelerator has %d weight tensors", len(params), len(masters))
 	}
 	for i := range params {
-		if !tensor.Equal(params[i].Value, masters[i], 0) {
+		if !tensor.Identical(params[i].Value, masters[i]) {
 			t.Fatalf("param %s differs from accelerator master", params[i].Name)
 		}
 	}
@@ -50,7 +50,7 @@ func TestExportWeightsRoundTrip(t *testing.T) {
 	}
 	inputs := testutil.FlatSamples(12, 7)
 	for i, s := range inputs {
-		if !tensor.Equal(fresh.Infer(s.Input), orig.Infer(s.Input), 0) {
+		if !tensor.Identical(fresh.Infer(s.Input), orig.Infer(s.Input)) {
 			t.Fatalf("sample %d: rebuilt machine diverged from original", i)
 		}
 	}
@@ -65,7 +65,7 @@ func TestExportWeightsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range inputs {
-		if !tensor.Equal(fresh.Infer(s.Input), before[i], 0) {
+		if !tensor.Identical(fresh.Infer(s.Input), before[i]) {
 			t.Fatalf("sample %d: snapshot machine changed under continued training", i)
 		}
 	}
@@ -88,7 +88,7 @@ func TestExportWeightsValidates(t *testing.T) {
 	}
 	before := other.Params()[0].Value.Clone()
 	_ = a.ExportWeights(other)
-	if !tensor.Equal(other.Params()[0].Value, before, 0) {
+	if !tensor.Identical(other.Params()[0].Value, before) {
 		t.Fatal("failed export mutated the target network")
 	}
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"pipelayer/internal/dataset"
 	"pipelayer/internal/networks"
 	"pipelayer/internal/telemetry"
+	"pipelayer/internal/telemetry/flight"
 )
 
 // metricsAccel builds a loaded Mnist-A accelerator (2 stages: 784→100 ReLU,
@@ -93,6 +95,60 @@ func TestTrainPipelinedRecordsSameCounts(t *testing.T) {
 	}
 	if got := s.Counters[`core_weight_updates_total{stage="2"}`]; got != 2 {
 		t.Fatalf("stage 2 updates = %d", got)
+	}
+}
+
+// TestStageSpansMatchFlightEvents: with a registry and a recorder attached,
+// each stage operation's two boundaries are read once, on the recorder's
+// clock, and serve both its span and its event. So under either executor
+// every stage's core_stage_{forward,backward,update}_seconds span equals
+// that stage's core_stage_* events exactly, in count and in nanoseconds.
+func TestStageSpansMatchFlightEvents(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		name := "Train"
+		if pipelined {
+			name = "TrainPipelined"
+		}
+		t.Run(name, func(t *testing.T) {
+			a, reg := metricsAccel(t)
+			rec := flight.New(flight.Config{Capacity: 1 << 12})
+			a.SetFlight(rec)
+			run := a.Train
+			if pipelined {
+				if err := a.PipelineSet(true); err != nil {
+					t.Fatal(err)
+				}
+				run = a.TrainPipelined
+			}
+			train, _ := dataset.TrainTest(8, 1, dataset.DefaultOptions(true), 21)
+			if _, err := run(train, 4, 0.05); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Dropped() != 0 {
+				t.Fatalf("recorder dropped %d events", rec.Dropped())
+			}
+			type total struct{ n, ns int64 }
+			events := map[string]total{}
+			for _, e := range rec.Events() {
+				key := telemetry.Name(e.Name+"_seconds", map[string]string{"stage": strconv.Itoa(int(e.Arg) + 1)})
+				tot := events[key]
+				tot.n++
+				tot.ns += e.Dur()
+				events[key] = tot
+			}
+			for stage := 1; stage <= len(a.engines); stage++ {
+				for _, op := range []string{"core_stage_forward", "core_stage_backward", "core_stage_update"} {
+					key := telemetry.Name(op+"_seconds", map[string]string{"stage": strconv.Itoa(stage)})
+					sp, ev := reg.Span(key), events[key]
+					if ev.n == 0 {
+						t.Fatalf("%s: no events recorded", key)
+					}
+					if sp.Count() != ev.n || int64(sp.Total()) != ev.ns {
+						t.Errorf("%s: span %d timings, %d ns; events %d, %d ns", key, sp.Count(), int64(sp.Total()), ev.n, ev.ns)
+					}
+				}
+			}
+		})
 	}
 }
 

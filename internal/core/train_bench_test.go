@@ -64,10 +64,10 @@ func BenchmarkUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, s := range bc.samples {
-				acts := a.forward(s.Input)
+				acts := a.forward(s.Input, 0)
 				delta := a.loss.Grad(acts[len(acts)-1], nn.OneHot(s.Label, bc.spec.Classes))
 				for i := len(a.engines) - 1; i >= 0; i-- {
-					delta = a.backward(nil, i, delta, acts[i], acts[i+1])
+					delta = a.backward(i, delta, acts[i], acts[i+1])
 				}
 			}
 			var stages []*crossbars

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -27,10 +28,10 @@ func spansByTrace(rec *flight.Recorder) map[uint64]map[string]flight.Event {
 	return out
 }
 
-// TestFlightDecompositionSumsExactly is the acceptance criterion made strict:
-// for every traced request, queue-wait + batch-wait + compute must equal the
-// recorded end-to-end latency EXACTLY, because adjacent spans share boundary
-// timestamps by construction — not merely within the 5% tolerance.
+// TestFlightDecompositionSumsExactly: for every traced request, queue-wait +
+// batch-wait + compute must equal the recorded end-to-end latency EXACTLY,
+// because adjacent spans share boundary timestamps by construction, and the
+// latency histogram must sum to the same end-to-end spans.
 func TestFlightDecompositionSumsExactly(t *testing.T) {
 	a := loadedAccel(t, nil)
 	rec := flight.New(flight.Config{Capacity: 4096})
@@ -66,6 +67,7 @@ func TestFlightDecompositionSumsExactly(t *testing.T) {
 	}
 
 	byTrace := spansByTrace(rec)
+	var e2eNs int64
 	for i, tr := range traces {
 		if tr == 0 {
 			t.Fatalf("request %d got trace 0 with tracing on", i)
@@ -89,6 +91,7 @@ func TestFlightDecompositionSumsExactly(t *testing.T) {
 		if sum := q.Dur() + b.Dur() + c.Dur(); sum != e2e.Dur() {
 			t.Fatalf("trace %d: stage sum %d != e2e %d", tr, sum, e2e.Dur())
 		}
+		e2eNs += e2e.Dur()
 	}
 
 	// Depth 2 reaches the replicas: layer spans and crossbar readouts appear
@@ -127,10 +130,18 @@ func TestFlightDecompositionSumsExactly(t *testing.T) {
 			t.Fatalf("%s observed %d requests, want %d", name, h.Count, n)
 		}
 	}
+	// The latency histogram reads the same instants as the request spans,
+	// so their sums agree up to float rounding.
+	sum, want := snap.Histograms["serve_request_latency_seconds"].Sum, float64(e2eNs)/1e9
+	if math.Abs(sum-want) > 1e-9*want {
+		t.Fatalf("serve_request_latency_seconds sums %.12g s, serve_request spans %.12g s", sum, want)
+	}
 }
 
 // TestFlightDisabledHasNoSideEffects: a nil recorder keeps every trace id at
-// zero, registers no attribution histograms, and emits no header material.
+// zero and emits no header material, while the four latency histograms,
+// a Metrics feature read from the server's own clock, still observe the
+// request.
 func TestFlightDisabledHasNoSideEffects(t *testing.T) {
 	a := loadedAccel(t, nil)
 	reg := telemetry.NewRegistry()
@@ -149,14 +160,13 @@ func TestFlightDisabledHasNoSideEffects(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	for _, name := range []string{"serve_queue_wait_seconds", "serve_batch_wait_seconds", "serve_compute_seconds"} {
-		if _, ok := snap.Histograms[name]; ok {
-			t.Fatalf("attribution histogram %s registered without a recorder", name)
+	for _, name := range []string{
+		"serve_queue_wait_seconds", "serve_batch_wait_seconds",
+		"serve_compute_seconds", "serve_request_latency_seconds",
+	} {
+		if h := snap.Histograms[name]; h.Count != 1 {
+			t.Fatalf("%s observed %d requests without a recorder, want 1", name, h.Count)
 		}
-	}
-	// The plain latency histogram is a Metrics feature, not a Flight one.
-	if h := snap.Histograms["serve_request_latency_seconds"]; h.Count != 1 {
-		t.Fatalf("serve_request_latency_seconds observed %d, want 1", h.Count)
 	}
 }
 

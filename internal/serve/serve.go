@@ -63,9 +63,6 @@ type Config struct {
 	// complete, analytic MAC counts otherwise) and stays fixed across hot
 	// swaps. Outputs remain bit-identical to the unsharded path.
 	Shards int
-	// ShardRanges assigns the layer partition explicitly (must tile the
-	// engine stack); non-empty ShardRanges overrides Shards.
-	ShardRanges []shard.Range
 	// MaxBatch is the largest coalesced batch; a full batch flushes
 	// immediately.
 	MaxBatch int
@@ -76,20 +73,21 @@ type Config struct {
 	// ErrOverloaded.
 	QueueCap int
 	// Metrics, when non-nil, receives serve_* instruments: queue depth
-	// gauge, batch-size histogram, request latency histogram, and outcome
-	// counters.
+	// gauge, batch-size histogram, outcome counters, and four latency
+	// histograms. serve_request_latency_seconds is enqueue → result, and
+	// serve_queue_wait_seconds (enqueue → batcher dequeue),
+	// serve_batch_wait_seconds (dequeue → worker batch start) and
+	// serve_compute_seconds (batch start → result) split it. Each boundary
+	// instant is read once from the server's clock, so the three stages sum
+	// to the request's latency exactly, with tracing on or off.
 	Metrics *telemetry.Registry
 
-	// Flight, when non-nil, records every request's per-stage decomposition:
-	// serve_queue_wait (enqueue → batcher dequeue), serve_batch_wait
-	// (dequeue → worker batch start) and serve_compute (batch start →
-	// result) spans on the request track, plus a serve_batch span per
-	// executed batch on the worker's track. Adjacent spans share
-	// their boundary timestamps, so the three stages sum to the recorded
-	// end-to-end latency exactly. The serve_queue_wait_seconds /
-	// serve_batch_wait_seconds / serve_compute_seconds histograms in Metrics
-	// are observed from the same boundary instants — aggregate metrics and
-	// traces can never disagree.
+	// Flight, when non-nil, becomes the server's clock and records every
+	// request's decomposition from the same readings the histograms
+	// observe: serve_queue_wait, serve_batch_wait and serve_compute spans
+	// and the end-to-end serve_request span on the request track, plus a
+	// serve_batch span per executed batch on the worker's track. A trace
+	// and its aggregate metrics can never disagree.
 	Flight *flight.Recorder
 
 	// TraceDepth selects how deep the tracing reaches when Flight is set:
@@ -117,8 +115,8 @@ type Config struct {
 }
 
 // Sharded reports whether the config sets a layer partition: two or more
-// Shards, or explicit ShardRanges.
-func (c Config) Sharded() bool { return c.Shards >= 2 || len(c.ShardRanges) >= 1 }
+// Shards.
+func (c Config) Sharded() bool { return c.Shards >= 2 }
 
 // WithDefaults returns the config with every zero field replaced by its
 // documented default (one replica per shard, batches of 16, 2 ms window,
@@ -126,9 +124,6 @@ func (c Config) Sharded() bool { return c.Shards >= 2 || len(c.ShardRanges) >= 1
 // read the *effective* configuration instead of zeros (pipelayer-serve
 // -smoke sizes its queue from it).
 func (c Config) WithDefaults() Config {
-	if len(c.ShardRanges) > 0 {
-		c.Shards = len(c.ShardRanges)
-	}
 	if c.Replicas <= 0 {
 		// A pipeline only overlaps when several batches are in flight; one
 		// worker per shard is the natural fill.
@@ -196,16 +191,15 @@ type backendState struct {
 }
 
 type request struct {
-	ctx      context.Context
-	x        *tensor.Tensor
-	enqueued time.Time
-	done     chan outcome // buffered(1): a worker send never blocks on an abandoned caller
+	ctx  context.Context
+	x    *tensor.Tensor
+	done chan outcome // buffered(1): a worker send never blocks on an abandoned caller
 
-	// Flight attribution: the trace id and the stage-boundary timestamps
-	// (recorder-clock ns). Each boundary is written by exactly one goroutine
-	// before the request crosses a channel to the next, so later stages read
-	// them race-free. tEnq → tDeq is queue wait, tDeq → worker batch start
-	// is batch-formation wait, batch start → finish is compute.
+	// The flight trace id and the stage-boundary instants (server-clock
+	// ns). Each boundary is written by exactly one goroutine before the
+	// request crosses a channel to the next, so later stages read them
+	// race-free. tEnq → tDeq is queue wait, tDeq → worker batch start is
+	// batch-formation wait, batch start → finish is compute.
 	trace uint64
 	tEnq  int64
 	tDeq  int64
@@ -237,6 +231,7 @@ type Server struct {
 	beforeBatch func() // Config.testHookBeforeBatch, fixed at construction
 
 	flight *flight.Recorder
+	clock  func() int64 // flight.Clock(flight): every request boundary is read from it once
 
 	queueDepth  *telemetry.Gauge
 	batchSize   *telemetry.Histogram
@@ -276,7 +271,6 @@ func New(a *core.Accelerator, cfg Config) (*Server, error) {
 	// replicas take the tracks above the workers.
 	chain, err := shard.New(rep, shard.Config{
 		Shards:      cfg.Shards,
-		Ranges:      cfg.ShardRanges,
 		Replicas:    cfg.Replicas,
 		Metrics:     cfg.Metrics,
 		Flight:      cfg.Flight,
@@ -295,25 +289,21 @@ func New(a *core.Accelerator, cfg Config) (*Server, error) {
 		queue:       make(chan *request, cfg.QueueCap),
 		beforeBatch: cfg.testHookBeforeBatch,
 		flight:      cfg.Flight,
+		clock:       flight.Clock(cfg.Flight),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		s.queueDepth = reg.Gauge("serve_queue_depth")
 		s.batchSize = reg.Histogram("serve_batch_size", []float64{1, 2, 4, 8, 16, 32, 64})
 		s.latencyHist = reg.Histogram("serve_request_latency_seconds", latencyBuckets)
+		s.queueWait = reg.Histogram("serve_queue_wait_seconds", latencyBuckets)
+		s.batchWait = reg.Histogram("serve_batch_wait_seconds", latencyBuckets)
+		s.computeTime = reg.Histogram("serve_compute_seconds", latencyBuckets)
 		s.requests = reg.Counter("serve_requests_total")
 		s.overloads = reg.Counter("serve_overloaded_total")
 		s.canceled = reg.Counter("serve_canceled_total")
 		s.batches = reg.Counter("serve_batches_total")
 		s.swaps = reg.Counter("serve_swaps_total")
 		s.weightVer = reg.Gauge("serve_weight_version")
-		if s.flight.Enabled() {
-			// Attribution histograms are derived from the flight recorder's
-			// boundary timestamps (see finish), so they only exist when the
-			// recorder does — and can never disagree with the trace.
-			s.queueWait = reg.Histogram("serve_queue_wait_seconds", latencyBuckets)
-			s.batchWait = reg.Histogram("serve_batch_wait_seconds", latencyBuckets)
-			s.computeTime = reg.Histogram("serve_compute_seconds", latencyBuckets)
-		}
 	}
 	if s.flight.Enabled() {
 		s.flight.SetTrackName(flight.TrackRequests, "requests")
@@ -416,10 +406,7 @@ func (s *Server) Predict(ctx context.Context, x *tensor.Tensor) (Result, error) 
 	// handler's X-Flight-Trace) or allocate a fresh one. With tracing off
 	// both are 0 and every span call below is a nil no-op.
 	ctx, trace := s.flight.EnsureTrace(ctx)
-	r := &request{
-		ctx: ctx, x: x, enqueued: time.Now(), done: make(chan outcome, 1),
-		trace: trace, tEnq: s.flight.Now(),
-	}
+	r := &request{ctx: ctx, x: x, done: make(chan outcome, 1), trace: trace, tEnq: s.clock()}
 
 	// The read lock pairs with Close's write lock: the queue can only be
 	// closed while no sender holds the read side, so a send never races a
@@ -508,10 +495,7 @@ func (s *Server) batcher(dispatch chan<- []*request) {
 // off the intake queue, so enqueue → now was time spent waiting for the
 // batcher, and now becomes the start of the batch-formation stage.
 func (s *Server) noteDequeued(r *request) {
-	if !s.flight.Enabled() {
-		return
-	}
-	r.tDeq = s.flight.Now()
+	r.tDeq = s.clock()
 	s.flight.RecordAt("serve_queue_wait", r.trace, flight.TrackRequests, r.tEnq, r.tDeq, 0)
 }
 
@@ -543,7 +527,7 @@ func (s *Server) worker(track uint64, dispatch <-chan []*request) {
 		// The batch starts computing now: every member's batch-formation wait
 		// ends at this shared instant, which is also where its compute stage
 		// begins — the boundaries tile with no gap.
-		tBatch := s.flight.Now()
+		tBatch := s.clock()
 		for _, r := range live {
 			s.flight.RecordAt("serve_batch_wait", r.trace, flight.TrackRequests, r.tDeq, tBatch, 0)
 		}
@@ -571,23 +555,18 @@ func (s *Server) worker(track uint64, dispatch <-chan []*request) {
 
 func (s *Server) finish(r *request, y *tensor.Tensor, tBatch int64, version uint64) {
 	_, class := y.Max()
-	if s.flight.Enabled() {
-		tDone := s.flight.Now()
-		// The request span's arg carries the weight version that computed
-		// the response, so a trace is attributable to its version too.
-		s.flight.RecordAt("serve_compute", r.trace, flight.TrackRequests, tBatch, tDone, 0)
-		s.flight.RecordAt("serve_request", r.trace, flight.TrackRequests, r.tEnq, tDone, int64(version))
-		// The attribution histograms observe the very same boundary
-		// timestamps the spans hold, so a trace and its aggregate can never
-		// tell different stories.
-		s.observeSeconds(s.queueWait, r.tDeq-r.tEnq)
-		s.observeSeconds(s.batchWait, tBatch-r.tDeq)
-		s.observeSeconds(s.computeTime, tDone-tBatch)
-	}
+	tDone := s.clock()
+	// The request span's arg carries the weight version that computed the
+	// response, so a trace is attributable to its version too.
+	s.flight.RecordAt("serve_compute", r.trace, flight.TrackRequests, tBatch, tDone, 0)
+	s.flight.RecordAt("serve_request", r.trace, flight.TrackRequests, r.tEnq, tDone, int64(version))
 	r.done <- outcome{res: Result{Scores: y, Class: class, Trace: r.trace, Version: version}}
-	if s.latencyHist != nil {
-		s.latencyHist.Observe(time.Since(r.enqueued).Seconds())
-	}
+	// The histograms observe the very boundary instants the spans hold, so
+	// a trace and its aggregate can never tell different stories.
+	s.observeSeconds(s.queueWait, r.tDeq-r.tEnq)
+	s.observeSeconds(s.batchWait, tBatch-r.tDeq)
+	s.observeSeconds(s.computeTime, tDone-tBatch)
+	s.observeSeconds(s.latencyHist, tDone-r.tEnq)
 }
 
 func (s *Server) observeSeconds(h *telemetry.Histogram, ns int64) {

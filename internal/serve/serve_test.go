@@ -144,7 +144,7 @@ func TestServeLoad(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("request %d failed: %v", i, r.err)
 		}
-		if !tensor.Equal(r.res.Scores, want[i], 0) {
+		if !tensor.Identical(r.res.Scores, want[i]) {
 			t.Fatalf("request %d: batched scores diverged from serial reference", i)
 		}
 		if _, idx := want[i].Max(); idx != r.res.Class {
@@ -218,7 +218,7 @@ func TestServeDeterminism(t *testing.T) {
 				return
 			}
 			for i := range results {
-				if !tensor.Equal(results[i].Scores, want[i], 0) {
+				if !tensor.Identical(results[i].Scores, want[i]) {
 					t.Fatalf("workers=%d replicas=%d: request %d diverged from serial", workers, replicas, i)
 				}
 			}
@@ -256,7 +256,7 @@ func TestServeWithFaultsDeterministic(t *testing.T) {
 				t.Errorf("request %d: %v", i, err)
 				return
 			}
-			if !tensor.Equal(res.Scores, want[i], 0) {
+			if !tensor.Identical(res.Scores, want[i]) {
 				t.Errorf("request %d: faulty serving diverged from faulty serial path", i)
 			}
 		}(i)
@@ -297,7 +297,7 @@ func TestServeOverload(t *testing.T) {
 			switch {
 			case err == nil:
 				completed++
-				if !tensor.Equal(res.Scores, want[i%len(xs)], 0) {
+				if !tensor.Identical(res.Scores, want[i%len(xs)]) {
 					t.Errorf("request %d: admitted response diverged from the serial reference", i)
 				}
 			case errors.Is(err, ErrOverloaded):
@@ -386,7 +386,7 @@ func TestServeCloseDrains(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d lost in drain: %v", i, errs[i])
 		}
-		if !tensor.Equal(results[i].Scores, want[i], 0) {
+		if !tensor.Identical(results[i].Scores, want[i]) {
 			t.Fatalf("request %d: drained result diverged", i)
 		}
 	}
@@ -438,7 +438,7 @@ func TestServeValidatesInput(t *testing.T) {
 				if err != nil {
 					t.Fatalf("input of shape %v: %v", x.Shape(), err)
 				}
-				if !tensor.Equal(res.Scores, want, 0) {
+				if !tensor.Identical(res.Scores, want) {
 					t.Fatalf("input of shape %v: response diverged from the serial reference", x.Shape())
 				}
 			}

@@ -315,7 +315,7 @@ func TestShardedSwapDoesNotWaitForStalledStage(t *testing.T) {
 	if r.res.Version != 1 {
 		t.Fatalf("stalled request reports version %d, want 1", r.res.Version)
 	}
-	if !tensor.Equal(r.res.Scores, want, 0) {
+	if !tensor.Identical(r.res.Scores, want) {
 		t.Fatal("stalled request diverged from the version 1 serial reference")
 	}
 	if err := s.Close(); err != nil {

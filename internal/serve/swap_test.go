@@ -75,7 +75,7 @@ func TestSwapZeroDowntimeUnderLoad(t *testing.T) {
 					t.Errorf("lane %d: response version %d out of range", l, res.Version)
 					return
 				}
-				if !tensor.Equal(res.Scores, refs[res.Version][idx], 0) {
+				if !tensor.Identical(res.Scores, refs[res.Version][idx]) {
 					t.Errorf("lane %d: torn response: scores do not match version %d reference", l, res.Version)
 					return
 				}
@@ -263,7 +263,7 @@ func TestOverloadPreservedMidSwap(t *testing.T) {
 		if !ok {
 			t.Fatalf("response %d carries unknown version %d", i, res.Version)
 		}
-		if !tensor.Equal(res.Scores, want, 0) {
+		if !tensor.Identical(res.Scores, want) {
 			t.Fatalf("response %d does not match its version %d reference", i, res.Version)
 		}
 	}

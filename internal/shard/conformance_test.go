@@ -20,7 +20,6 @@ import (
 	"pipelayer/internal/fault"
 	"pipelayer/internal/parallel"
 	"pipelayer/internal/serve"
-	"pipelayer/internal/shard"
 	"pipelayer/internal/tensor"
 	"pipelayer/internal/testutil"
 )
@@ -89,8 +88,9 @@ func faultConfigs() []struct {
 // from the server must bit-match the serial single-request reference of the
 // same machine. The shapes are shards {1, 2, 3, all-layers} at one replica
 // per shard, and shards=2 with a budget of 3 replicas, which replicates the
-// bottleneck shard: g = (1, 2) on this net. shards=1 takes its full-stack
-// range explicitly, so the explicit-range path is covered at every point.
+// bottleneck shard: g = (1, 2) on this net. shards=1 is Shards: 1, a
+// one-stage chain; an explicit uneven partition is pinned by
+// TestChainExplicitRangesAndTelemetry.
 func TestShardedServeConformance(t *testing.T) {
 	const n = 16
 	saved := parallel.Workers()
@@ -112,13 +112,9 @@ func TestShardedServeConformance(t *testing.T) {
 			for _, workers := range workerCounts {
 				t.Run(fmt.Sprintf("faults=%s/%s/workers=%d", fc.name, shape, workers), func(t *testing.T) {
 					parallel.SetWorkers(workers)
-					cfg := serve.Config{Replicas: sh.replicas, MaxBatch: 4, MaxWait: 200 * time.Microsecond, QueueCap: n}
-					if sh.shards == 1 {
-						cfg.ShardRanges = []shard.Range{{Lo: 0, Hi: engines}}
-					} else {
-						cfg.Shards = sh.shards
-					}
-					s, err := serve.New(a, cfg)
+					s, err := serve.New(a, serve.Config{
+						Shards: sh.shards, Replicas: sh.replicas, MaxBatch: 4, MaxWait: 200 * time.Microsecond, QueueCap: n,
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -133,12 +129,8 @@ func TestShardedServeConformance(t *testing.T) {
 								t.Errorf("request %d: %v", i, err)
 								return
 							}
-							g, w := res.Scores.Data(), want[i].Data()
-							for j := range g {
-								if g[j] != w[j] {
-									t.Errorf("request %d score %d: %v != %v (bit-identity broken)", i, j, g[j], w[j])
-									return
-								}
+							if !tensor.Identical(res.Scores, want[i]) {
+								t.Errorf("request %d scores: %v != %v (bit-identity broken)", i, res.Scores, want[i])
 							}
 						}(i)
 					}
@@ -181,12 +173,8 @@ func TestShardedServeConformanceMLP(t *testing.T) {
 					t.Errorf("shards=%d request %d: %v", shards, i, err)
 					return
 				}
-				g, w := res.Scores.Data(), want[i].Data()
-				for j := range g {
-					if g[j] != w[j] {
-						t.Errorf("shards=%d request %d score %d: %v != %v", shards, i, j, g[j], w[j])
-						return
-					}
+				if !tensor.Identical(res.Scores, want[i]) {
+					t.Errorf("shards=%d request %d: %v != %v", shards, i, res.Scores.Data(), want[i].Data())
 				}
 			}(i)
 		}

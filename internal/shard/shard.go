@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"time"
 
 	"pipelayer/internal/core"
 	"pipelayer/internal/telemetry"
@@ -81,6 +82,7 @@ type Chain struct {
 	cfg      Config // the recipe, with Ranges resolved
 	replicas []int  // per-shard replica counts
 	stages   []*stage
+	clock    func() int64 // flight.Clock(cfg.Flight): one reading per stage boundary
 }
 
 // plan resolves a chain's shape: the ranges (explicit cfg.Ranges validated
@@ -144,7 +146,7 @@ func (c *Chain) Rebuild(rep *core.Replica) (*Chain, error) {
 }
 
 func build(rep *core.Replica, cfg Config, replicas []int) (*Chain, error) {
-	c := &Chain{cfg: cfg, replicas: replicas}
+	c := &Chain{cfg: cfg, replicas: replicas, clock: flight.Clock(cfg.Flight)}
 	track := cfg.TrackBase
 	for k, rng := range cfg.Ranges {
 		st := &stage{pool: make(chan replica, replicas[k])}
@@ -185,19 +187,15 @@ func (c *Chain) Forward(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		if c.cfg.BeforeStage != nil {
 			c.cfg.BeforeStage(k)
 		}
-		t0 := c.cfg.Flight.Now()
-		var timer telemetry.SpanTimer
-		if st.busy != nil {
-			timer = st.busy.Start()
-		}
+		// One reading per boundary serves the busy span and the event alike.
+		t0 := c.clock()
 		ys, err := r.rep.Forward(xs)
+		t1 := c.clock()
 		if st.busy != nil {
-			timer.Stop()
-		}
-		if st.batches != nil {
+			st.busy.Add(time.Duration(t1 - t0))
 			st.batches.Inc()
 		}
-		c.cfg.Flight.Record("serve_shard_forward", 0, r.track, t0, int64(len(xs)))
+		c.cfg.Flight.RecordAt("serve_shard_forward", 0, r.track, t0, t1, int64(len(xs)))
 		st.pool <- r
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"pipelayer/internal/core"
 	"pipelayer/internal/energy"
 	"pipelayer/internal/telemetry"
+	"pipelayer/internal/telemetry/flight"
 	"pipelayer/internal/tensor"
 	"pipelayer/internal/testutil"
 )
@@ -44,14 +46,8 @@ func imageInputs(t testing.TB, n int) []*tensor.Tensor {
 
 func sameBits(t *testing.T, got, want *tensor.Tensor, what string) {
 	t.Helper()
-	g, w := got.Data(), want.Data()
-	if len(g) != len(w) {
-		t.Fatalf("%s: %d elements, want %d", what, len(g), len(w))
-	}
-	for i := range g {
-		if g[i] != w[i] {
-			t.Fatalf("%s: element %d is %v, want %v (bit-identity broken)", what, i, g[i], w[i])
-		}
+	if !tensor.Identical(got, want) {
+		t.Fatalf("%s: %v, want %v (bit-identity broken)", what, got, want)
 	}
 }
 
@@ -114,6 +110,71 @@ func TestChainExplicitRangesAndTelemetry(t *testing.T) {
 		name := telemetry.Name("serve_shard_batches_total", map[string]string{"shard": []string{"0", "1", "2"}[k]})
 		if snap.Counters[name] != 1 {
 			t.Errorf("%s = %d, want 1", name, snap.Counters[name])
+		}
+	}
+}
+
+// TestChainBusySpansMatchFlightEvents: each shard stage's start and end are
+// read once and serve both its busy span and its serve_shard_forward event,
+// so every shard's serve_shard_busy_seconds total equals the summed events
+// on its replicas' tracks, in count and in nanoseconds.
+func TestChainBusySpansMatchFlightEvents(t *testing.T) {
+	rep := cnnReplica(t)
+	xs := imageInputs(t, 2)
+	reg := telemetry.NewRegistry()
+	rec := flight.New(flight.Config{Capacity: 1 << 10})
+	const trackBase = 10
+	c, err := New(rep, Config{Shards: 2, Replicas: 3, Metrics: reg, Flight: rec, TrackBase: trackBase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches, callers = 60, 2
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < batches/callers; i++ {
+				if _, err := c.Forward(append([]*tensor.Tensor(nil), xs...)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if rec.Dropped() != 0 {
+		t.Fatalf("recorder dropped %d events", rec.Dropped())
+	}
+	// Replica tracks run consecutively from TrackBase, shard by shard.
+	shardOf := map[uint64]int{}
+	track := uint64(trackBase)
+	for k, n := range c.replicas {
+		for j := 0; j < n; j++ {
+			shardOf[track] = k
+			track++
+		}
+	}
+	n := make([]int64, len(c.replicas))
+	ns := make([]int64, len(c.replicas))
+	for _, e := range rec.Events() {
+		if e.Name != "serve_shard_forward" {
+			continue
+		}
+		k, ok := shardOf[e.Track]
+		if !ok {
+			t.Fatalf("serve_shard_forward on track %d, which no replica owns", e.Track)
+		}
+		n[k]++
+		ns[k] += e.Dur()
+	}
+	for k := range c.replicas {
+		busy := reg.Span(telemetry.Name("serve_shard_busy_seconds", map[string]string{"shard": strconv.Itoa(k)}))
+		if n[k] != batches {
+			t.Errorf("shard %d: %d events, want %d", k, n[k], batches)
+		}
+		if busy.Count() != n[k] || int64(busy.Total()) != ns[k] {
+			t.Errorf("shard %d: busy span %d timings, %d ns; events %d, %d ns", k, busy.Count(), int64(busy.Total()), n[k], ns[k])
 		}
 	}
 }

@@ -128,6 +128,22 @@ func (r *Recorder) Now() int64 {
 	return int64(r.clock().Sub(r.epoch))
 }
 
+// processStart is the origin of Clock(nil).
+var processStart = time.Now()
+
+// Clock returns the clock a component reads its boundary instants from, in
+// nanoseconds: rec.Now for a recorder, so every reading is also an event
+// timestamp, and monotonic time since process start for nil, so metrics
+// still get durations while tracing is off. A component picks its clock
+// once, when it is built or its recorder attached, and gives each reading
+// to both its metric and its event.
+func Clock(rec *Recorder) func() int64 {
+	if rec != nil {
+		return rec.Now
+	}
+	return func() int64 { return int64(time.Since(processStart)) }
+}
+
 // NextTrace allocates a fresh nonzero trace id (0 on a nil recorder). Ids
 // are a monotonic counter, not random: replays of a deterministic load
 // produce the same attribution.

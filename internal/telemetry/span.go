@@ -5,31 +5,17 @@ import (
 	"time"
 )
 
-// Span accumulates wall-clock time and a call count for one named region of
-// code. The hot path is two atomic adds per timed region:
-//
-//	defer reg.Span("core_stage_forward_seconds").Start().Stop()
-//
-// or, amortizing the registry lookup:
+// Span accumulates the durations and the count of one named region of code.
+// A span keeps no clock: the caller reads the region's start and end on its
+// own clock, the same two readings it gives any trace event of the region,
+// and adds the difference. The hot path is two atomic adds per region:
 //
 //	s := reg.Span("solve")
-//	for ... { t := s.Start(); work(); t.Stop() }
+//	for ... { t0 := clock(); work(); s.Add(time.Duration(clock() - t0)) }
 type Span struct {
 	ns atomic.Int64 // total elapsed nanoseconds
 	n  atomic.Int64 // completed timings
 }
-
-// SpanTimer is one in-flight timing started by Span.Start.
-type SpanTimer struct {
-	s  *Span
-	t0 time.Time
-}
-
-// Start begins a timing and returns the timer to stop.
-func (s *Span) Start() SpanTimer { return SpanTimer{s: s, t0: time.Now()} }
-
-// Stop ends the timing and folds the elapsed wall-clock time into the span.
-func (t SpanTimer) Stop() { t.s.Add(time.Since(t.t0)) }
 
 // Add records one completed timing of duration d.
 func (s *Span) Add(d time.Duration) {

@@ -18,24 +18,6 @@ func withWorkers(t *testing.T, n int, f func()) {
 	f()
 }
 
-// bitIdentical reports whether two tensors agree in shape and exact bits.
-func bitIdentical(a, b *Tensor) bool {
-	if a.Rank() != b.Rank() {
-		return false
-	}
-	for i := 0; i < a.Rank(); i++ {
-		if a.Dim(i) != b.Dim(i) {
-			return false
-		}
-	}
-	for i, v := range a.Data() {
-		if v != b.Data()[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // workerSweep is the property-test sweep of the issue: serial, two, an odd
 // count that never divides the shapes evenly, and the machine's own width.
 func workerSweep() []int {
@@ -69,22 +51,22 @@ func TestParallelDeterminismMatMulFamily(t *testing.T) {
 		})
 		for _, w := range workerSweep() {
 			withWorkers(t, w, func() {
-				if got := MatMul(a, b); !bitIdentical(got, refMM) {
+				if got := MatMul(a, b); !Identical(got, refMM) {
 					t.Errorf("MatMul (%d×%d)·(%d×%d) differs at %d workers", m, k, k, n, w)
 				}
-				if got := MatMulTransA(at, b); !bitIdentical(got, refTA) {
+				if got := MatMulTransA(at, b); !Identical(got, refTA) {
 					t.Errorf("MatMulTransA differs at %d workers (shape %v)", w, s)
 				}
-				if got := MatMulTransB(a, bt); !bitIdentical(got, refTB) {
+				if got := MatMulTransB(a, bt); !Identical(got, refTB) {
 					t.Errorf("MatMulTransB differs at %d workers (shape %v)", w, s)
 				}
-				if got := MatVec(a, x); !bitIdentical(got, refMV) {
+				if got := MatVec(a, x); !Identical(got, refMV) {
 					t.Errorf("MatVec differs at %d workers (shape %v)", w, s)
 				}
-				if got := Outer(x, New(n).RandNormal(rand.New(rand.NewSource(7)), 0, 1)); !bitIdentical(got, refOut) {
+				if got := Outer(x, New(n).RandNormal(rand.New(rand.NewSource(7)), 0, 1)); !Identical(got, refOut) {
 					t.Errorf("Outer differs at %d workers (shape %v)", w, s)
 				}
-				if got := Transpose(a); !bitIdentical(got, refTr) {
+				if got := Transpose(a); !Identical(got, refTr) {
 					t.Errorf("Transpose differs at %d workers (shape %v)", w, s)
 				}
 			})
@@ -118,13 +100,13 @@ func TestParallelDeterminismConv(t *testing.T) {
 		})
 		for _, w := range workerSweep() {
 			withWorkers(t, w, func() {
-				if got := Conv2D(x, kern, bias, cs.stride, cs.pad); !bitIdentical(got, refConv) {
+				if got := Conv2D(x, kern, bias, cs.stride, cs.pad); !Identical(got, refConv) {
 					t.Errorf("Conv2D differs at %d workers (case %+v)", w, cs)
 				}
-				if got := Im2Col(x, cs.k, cs.k, cs.stride, cs.pad); !bitIdentical(got, refIm) {
+				if got := Im2Col(x, cs.k, cs.k, cs.stride, cs.pad); !Identical(got, refIm) {
 					t.Errorf("Im2Col differs at %d workers (case %+v)", w, cs)
 				}
-				if got := Col2Im(cols, cs.c, cs.h, cs.w, cs.k, cs.k, cs.stride, cs.pad); !bitIdentical(got, refCol) {
+				if got := Col2Im(cols, cs.c, cs.h, cs.w, cs.k, cs.k, cs.stride, cs.pad); !Identical(got, refCol) {
 					t.Errorf("Col2Im differs at %d workers (case %+v)", w, cs)
 				}
 			})

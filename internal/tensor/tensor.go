@@ -11,6 +11,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -297,6 +298,23 @@ func Equal(a, b *Tensor, eps float64) bool {
 		// Written so that a NaN difference fails the test: NaN > eps is
 		// false. Identical values (infinities too) need no subtraction.
 		if y := b.data[i]; x != y && !(math.Abs(x-y) <= eps) {
+			return false
+		}
+	}
+	return true
+}
+
+// Identical reports whether two tensors have the same shape and the same
+// IEEE-754 bits in every element: the bit identity every serving and
+// training oracle checks. Under it −0 and +0 differ, and, as in Equal, a
+// NaN element matches nothing, so an oracle never passes a NaN score that
+// both paths produced.
+func Identical(a, b *Tensor) bool {
+	if !slices.Equal(a.shape, b.shape) {
+		return false
+	}
+	for i, x := range a.data {
+		if x != x || math.Float64bits(x) != math.Float64bits(b.data[i]) {
 			return false
 		}
 	}

@@ -162,6 +162,28 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// TestIdentical: bit identity compares shapes and IEEE-754 bits, so −0 and
+// +0 differ, and a NaN element matches nothing, not even the same NaN.
+func TestIdentical(t *testing.T) {
+	a := FromSlice([]float64{1, 0, math.Inf(-1)}, 3)
+	if !Identical(a, a.Clone()) {
+		t.Fatal("a tensor must be identical to its clone")
+	}
+	if Identical(a, a.Reshape(1, 3)) {
+		t.Fatal("Identical must compare shapes")
+	}
+	if Identical(a, FromSlice([]float64{1, math.Copysign(0, -1), math.Inf(-1)}, 3)) {
+		t.Fatal("-0 and +0 must differ")
+	}
+	nan := FromSlice([]float64{1, math.NaN()}, 2)
+	if Identical(nan, nan.Clone()) {
+		t.Fatal("a NaN must not match even a NaN of the same bits")
+	}
+	if Identical(nan, FromSlice([]float64{1, 0}, 2)) || Identical(FromSlice([]float64{1, 0}, 2), nan) {
+		t.Fatal("a NaN must not match a number")
+	}
+}
+
 // TestEqualRejectsNaN: a NaN element must fail the comparison at any
 // tolerance, against a number and against another NaN, or the bit-identity
 // oracles built on Equal would pass a NaN score.

@@ -43,7 +43,6 @@ import (
 	"pipelayer/internal/pipeline"
 	"pipelayer/internal/planner"
 	"pipelayer/internal/serve"
-	"pipelayer/internal/shard"
 	"pipelayer/internal/telemetry"
 	"pipelayer/internal/tensor"
 	"pipelayer/internal/trace"
@@ -123,13 +122,9 @@ type (
 	Server = serve.Server
 	// ServeConfig tunes the Server's batching scheduler (batch size,
 	// batching window, queue depth, metrics) and the shard chain it serves
-	// through: Shards or ShardRanges set the layer-range stages (one when
-	// unset), and Replicas the workers and the replica budget spread over
-	// the stages.
+	// through: Shards sets the layer-range stages (one when unset), and
+	// Replicas the workers and the replica budget spread over the stages.
 	ServeConfig = serve.Config
-	// ShardRange is one contiguous [Lo,Hi) engine range of a layer-sharded
-	// server's pipeline (ServeConfig.ShardRanges).
-	ShardRange = shard.Range
 	// ServeResult is one completed prediction: class scores, argmax, and
 	// the weight version that computed it.
 	ServeResult = serve.Result
