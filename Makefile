@@ -161,10 +161,13 @@ perfbench-smoke:
 # bench-regression is the benchmark regression gate: paired perfbench runs of
 # a base commit and of this checkout on one machine, judged by BENCHMARK.json's
 # own end-to-end bounds (pipelayer-bench -diff). BASE is exported with git
-# archive under .bench_build/gate/src. Each workload runs three base/head pairs
-# of 10 s (train-serve's shortest valid run) at seeds 1-3, alternating which
-# side runs first: base on odd seeds, head on even ones, so neither side
-# always runs on the machine the other has just warmed. Each run's whole
+# archive under .bench_build/gate/src. mlp-serve and cnn-shard run three
+# base/head pairs of 10 s (train-serve's shortest valid run) at seeds 1-3;
+# train-serve, whose latency and goodput spread widest between runs, runs
+# five pairs of 20 s at seeds 1-5, which the gate judges by their
+# interquartile range. Each pair alternates which side runs first: base on
+# odd seeds, head on even ones, so neither side always runs on the machine
+# the other has just warmed. Each run's whole
 # stdout is kept as .bench_build/gate/{base,head}/<workload>-seed<seed>-<attempt>.log.
 # A run that perfbench flags `# INVALID` is run again, at most twice, and
 # every re-run is printed; the last attempt's result line is the one appended
@@ -172,7 +175,7 @@ perfbench-smoke:
 # stays invalid is named after the verdict but does not fail the gate yet:
 # the load generator still flags runs of unchanged code (ROADMAP item 6).
 # Exit 1 names the workload and metric that regressed, a wrong answer, a higher
-# failed share or a missing result. About 5 minutes on two cores, more with
+# failed share or a missing result. About 6 minutes on two cores, more with
 # re-runs.
 bench-regression:
 	@test -n "$(BASE)" || { echo "usage: make bench-regression BASE=<commit>"; exit 2; }
@@ -181,7 +184,8 @@ bench-regression:
 	mkdir -p .bench_build/gate/src .bench_build/gate/base .bench_build/gate/head
 	git archive "$(BASE)" | tar -x -C .bench_build/gate/src
 	@set -e; : > .bench_build/gate/invalid.txt; for wl in mlp-serve cnn-shard train-serve; do \
-		for seed in 1 2 3; do \
+		if [ $$wl = train-serve ]; then seeds="1 2 3 4 5"; secs=20; else seeds="1 2 3"; secs=10; fi; \
+		for seed in $$seeds; do \
 			if [ $$((seed % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
 			for side in $$order; do \
 				if [ $$side = base ]; then dir=.bench_build/gate/src; else dir=.; fi; \
@@ -189,7 +193,7 @@ bench-regression:
 					if [ $$attempt -eq 1 ]; then echo "== $$wl seed $$seed: $$side"; \
 					else echo "== $$wl seed $$seed: $$side, re-run $$((attempt - 1)) of 2 after an INVALID run"; fi; \
 					log=.bench_build/gate/$$side/$$wl-seed$$seed-$$attempt.log; \
-					(cd $$dir && bash perfbench/run.sh --workload $$wl --seed $$seed --seconds 10 --trace 0) > $$log || true; \
+					(cd $$dir && bash perfbench/run.sh --workload $$wl --seed $$seed --seconds $$secs --trace 0) > $$log || true; \
 					grep -q '^# INVALID' $$log || break; \
 				done; \
 				tail -n 1 $$log >> .bench_build/gate/$$side/$$wl.jsonl; \

@@ -55,7 +55,7 @@ type gateRow struct {
 	Workload, Metric string
 	Base, Head       float64 // medians of the runs
 	Change           float64 // (head − base) / base
-	Spread           float64 // base runs' (max − min) / median
+	Spread           float64 // base runs' spread / median (see spread)
 	Bound            float64
 	Verdict          string
 }
@@ -168,7 +168,7 @@ func gate(spec gateSpec, baseDir, headDir string) gateResult {
 func judge(m gateMetric, base, head []float64) gateRow {
 	row := gateRow{Metric: m.Name, Base: median(base), Head: median(head), Bound: m.Bound}
 	row.Change = ratio(row.Head-row.Base, row.Base)
-	row.Spread = ratio(slices.Max(base)-slices.Min(base), row.Base)
+	row.Spread = ratio(spread(base), row.Base)
 	worse := row.Change
 	if m.Better == "higher" {
 		worse = -worse
@@ -205,6 +205,31 @@ func ratio(num, den float64) float64 {
 		return math.Copysign(math.Inf(1), num)
 	}
 	return num / math.Abs(den)
+}
+
+// iqrRuns is the run count from which spread is the interquartile range.
+// The range (max − min) grows with the number of runs, so adding pairs
+// under it would leave more metrics unresolved, not fewer; the IQR does
+// not, and at a given run count it is never above the range.
+const iqrRuns = 5
+
+// spread is the runs' dispersion: the interquartile range from iqrRuns runs
+// on, the range below that.
+func spread(v []float64) float64 {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	if len(s) < iqrRuns {
+		return s[len(s)-1] - s[0]
+	}
+	return quartile(s, 0.75) - quartile(s, 0.25)
+}
+
+// quartile interpolates sorted s at position q·(n−1), so five runs give
+// s[1] and s[3]. q must be below 1.
+func quartile(s []float64, q float64) float64 {
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 }
 
 func median(v []float64) float64 {

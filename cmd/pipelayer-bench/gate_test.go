@@ -128,6 +128,36 @@ func TestGateUnresolved(t *testing.T) {
 	}
 }
 
+// TestGateSpreadFromFiveRunsIsIQR: from five runs per side on, the base
+// spread is the interquartile range over the median, with the quartiles
+// interpolated at q·(n−1), so one outlying run no longer leaves a metric
+// unresolved. Fewer runs keep the full range.
+func TestGateSpreadFromFiveRunsIsIQR(t *testing.T) {
+	// sat_rps: range 80 % of the median, IQR s[3] − s[1] = 4 %.
+	base := []result{ok(100, 2.0), ok(102, 2.05), ok(98, 1.95), ok(60, 1.0), ok(140, 3.0)}
+	head := []result{ok(70, 2.0), ok(72, 2.02), ok(71, 1.98), ok(69, 2.01), ok(110, 1.99)}
+	res := runPair(t, base, head)
+	if v := verdicts(res); v["sat_rps"] != verdictRegressed || v["p50_ms_lo"] != verdictOK {
+		t.Fatalf("five runs judged %v, want sat_rps regressed (−29 %%) and p50_ms_lo ok", v)
+	}
+	for _, row := range res.Rows {
+		if row.Metric == "sat_rps" && row.Spread != 0.04 {
+			t.Fatalf("five-run spread %v, want the IQR (102 − 98) / 100 = 0.04", row.Spread)
+		}
+	}
+	if got := spread([]float64{6, 1, 5, 2, 4, 3}); got != 2.5 {
+		t.Fatalf("six-run spread %v, want 4.75 − 2.25 = 2.5", got)
+	}
+
+	// Three runs whose range (41 %) exceeds the bound but whose
+	// interpolated IQR (20.5 %) would not: judged by the range, unresolved.
+	base3 := []result{ok(60, 2.0), ok(100, 2.0), ok(101, 2.0)}
+	head3 := []result{ok(50, 2.0), ok(55, 2.0), ok(52, 2.0)}
+	if v := verdicts(runPair(t, base3, head3)); v["sat_rps"] != verdictUnresolved {
+		t.Fatalf("three runs judged %v, want sat_rps unresolved", v)
+	}
+}
+
 func TestGateAllBetterIsNotUnresolved(t *testing.T) {
 	base := []result{ok(100, 2.0), ok(60, 1.0), ok(140, 3.0)}
 	head := []result{ok(150, 0.5), ok(160, 0.6), ok(141, 0.9)}

@@ -10,14 +10,13 @@ import (
 // errdropSentinels names the backpressure/lifecycle sentinels whose loss
 // breaks the serving tier end-to-end: a dropped ErrOverloaded means the load
 // shedder upstream never learns the queue is full; a dropped ErrClosed means
-// a caller keeps submitting into a drained server; a dropped ErrWriteFailed
-// means a ReRAM write fault vanishes instead of triggering remap. Any
-// function whose package declares one of these is treated as a carrier.
-var errdropSentinels = []string{"ErrOverloaded", "ErrClosed", "ErrWriteFailed"}
+// a caller keeps submitting into a drained server. Any function whose
+// package declares one of these is treated as a carrier.
+var errdropSentinels = []string{"ErrOverloaded", "ErrClosed"}
 
 // AnalyzerErrDrop forbids discarding the error from a sentinel-carrying call
 // — `_ = srv.Predict(...)` or a bare `c.Close()` expression statement — when
-// the callee's package declares ErrOverloaded, ErrClosed, or ErrWriteFailed.
+// the callee's package declares ErrOverloaded or ErrClosed.
 // Backpressure only works if every hop propagates it; one `_ =` turns bounded
 // admission into silent loss. Deferred calls are exempt (defer cannot
 // propagate anyway; cleanup-path errors are reported through the primary
@@ -25,7 +24,7 @@ var errdropSentinels = []string{"ErrOverloaded", "ErrClosed", "ErrWriteFailed"}
 var AnalyzerErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "forbid discarding errors (`_ =` or bare call statement) from calls whose package declares the " +
-		"ErrOverloaded/ErrClosed/ErrWriteFailed sentinels; backpressure must propagate, not vanish",
+		"ErrOverloaded/ErrClosed sentinels; backpressure must propagate, not vanish",
 	Run: runErrDrop,
 }
 

@@ -9,14 +9,14 @@ import (
 
 // AnalyzerSentinelCmp requires errors.Is for comparisons against typed
 // error sentinels (package-level `ErrXxx` variables such as
-// reram.ErrWriteFailed or serve.ErrOverloaded). The serving and
-// fault-tolerance layers wrap sentinels with %w to carry context — a plain
-// ==/!= silently stops matching the moment a wrap is added, which is
-// exactly the refactor this suite exists to make safe.
+// serve.ErrOverloaded). The serving and checkpoint layers wrap sentinels
+// with %w to carry context — a plain ==/!= silently stops matching the
+// moment a wrap is added, which is exactly the refactor this suite exists
+// to make safe.
 var AnalyzerSentinelCmp = &Analyzer{
 	Name: "sentinelcmp",
 	Doc: "require errors.Is instead of ==/!= when comparing errors against typed sentinels " +
-		"(ErrWriteFailed, ErrOverloaded, ...) so wrapped errors keep matching",
+		"(serve.ErrOverloaded, ...) so wrapped errors keep matching",
 	Run: runSentinelCmp,
 }
 

@@ -7,8 +7,8 @@ import (
 	"fmt"
 )
 
-// ErrBoom is a package-level typed sentinel, the kind ProgramVerify and the
-// serving layer export.
+// ErrBoom is a package-level typed sentinel, the kind serve.ErrOverloaded
+// is.
 var ErrBoom = errors.New("boom")
 
 // ErrTyped is a sentinel with a concrete error type.

@@ -30,8 +30,10 @@ func TestQuantizedMatVecAccuracy(t *testing.T) {
 	}
 }
 
-// The quantized fast path must agree bit-for-bit with the exact spike-domain
-// crossbar simulation (they use identical code assignment).
+// The quantized fast path must agree bit for bit with the exact spike-domain
+// crossbar simulation (they use identical code assignment), both in the
+// per-vector reference MatVec and in the batched MatVecCols kernel every
+// engine reads its arrays through.
 func TestQuantizedMatchesSpikePath(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -42,12 +44,23 @@ func TestQuantizedMatchesSpikePath(t *testing.T) {
 		bits := 4 + rng.Intn(8)
 
 		q := NewQuantized(w, rows, cols, bits)
-		fast := q.MatVec(x)
+		ra := reram.NewResolutionArray(w, rows, cols)
+		if !tensor.Identical(q.MatVec(x), ra.MatVecFloat(x, bits)) {
+			return false
+		}
 
-		ra := reram.NewResolutionArray(w, rows, cols, 0, nil)
-		exact := ra.MatVecFloat(x, bits)
-
-		return tensor.Equal(fast, exact, 1e-9)
+		vecs := []*tensor.Tensor{x, tensor.New(rows).RandNormal(rng, 0, 1), tensor.New(rows)}
+		batched := q.MatVecCols(PackCols(vecs))
+		for c, v := range vecs {
+			col := tensor.New(cols)
+			for j := range col.Data() {
+				col.Data()[j] = batched.At(j, c)
+			}
+			if !tensor.Identical(col, ra.MatVecFloat(v, bits)) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

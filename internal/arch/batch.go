@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pipelayer/internal/parallel"
-	"pipelayer/internal/reram"
 	"pipelayer/internal/tensor"
 )
 
@@ -111,7 +110,7 @@ func (q *Quantized) matVecCols(x *tensor.Tensor, consume bool) *tensor.Tensor {
 		for j := lo; j < hi; j++ {
 			col := f.eff[j*q.Rows : (j+1)*q.Rows]
 			drift := 1.0
-			if f.drift != 1 && f.class[j] != reram.ColDegraded {
+			if f.drift != 1 && f.class[j] != ColDegraded {
 				drift = f.drift
 			}
 			od := out.Data()[j*n : (j+1)*n]

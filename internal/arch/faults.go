@@ -6,20 +6,38 @@ import (
 	"pipelayer/internal/reram"
 )
 
-// Fault support for the fast functional model. A Quantized array with an
-// attached fault.Injector mirrors the device-level fault semantics of
-// internal/reram at the resolution the functional model works at: every
-// 16-bit weight is physically 8 nibble cells (4 resolution groups × pos/neg
-// array), so the stuck-at map is drawn per nibble slot and corrupted weights
-// are recomposed nibble-wise. Endurance and transient write failures act on
-// the weight cell (the 8-nibble group programs as one unit); a dead cell
-// freezes at the codes it last held. Spare columns, remapping and the
-// digital-emulation degrade follow the same policy as reram.SignedPair, and
-// the two layers share the reram.ColumnState classification.
+// Fault support for the fast functional model, and the repository's only
+// device fault model: internal/reram is the ideal spike-exact reference. A
+// Quantized array with an attached fault.Injector models the device at the
+// resolution the functional model works at: every 16-bit weight is
+// physically 8 nibble cells (4 resolution groups × pos/neg array), so the
+// stuck-at map is drawn per nibble slot and corrupted weights are recomposed
+// nibble-wise. Endurance and transient write failures act on the weight cell
+// (the 8-nibble group programs as one unit): a failed write is retried up to
+// Config.Retries times, and a cell that wears out or exhausts its retries
+// freezes at the codes it last held. Damaged columns are remapped to spare
+// columns and, once spares run out, degraded to exact digital emulation or
+// left corrupt (ColumnState).
 //
 // All fault state mutates inside Program/AttachFaults/Tick only — serial in
 // every execution path — so the parallel MatVec readout stays race-free and
 // bit-identical across worker counts.
+
+// ColumnState classifies one logical column of a faulty array.
+type ColumnState uint8
+
+const (
+	// ColHealthy computes on its original physical column.
+	ColHealthy ColumnState = iota
+	// ColRemapped computes on a spare physical column.
+	ColRemapped
+	// ColDegraded is emulated digitally (exact ideal result) because every
+	// spare was exhausted and graceful degradation is enabled.
+	ColDegraded
+	// ColCorrupt keeps computing on faulty cells: no spare was available
+	// and degradation is disabled, so its outputs are wrong.
+	ColCorrupt
+)
 
 // nibblesPerCell is the number of physical ReRAM cells behind one 16-bit
 // weight: fixed.Groups 4-bit slices in each of the pos/neg arrays.
@@ -42,7 +60,7 @@ type qFaults struct {
 	writes []int64
 	// remap/class/nextSpare implement spare-column repair per logical column.
 	remap     []int
-	class     []reram.ColumnState
+	class     []ColumnState
 	nextSpare int
 	// eff is the column-major effective readout (stuck overrides applied,
 	// remap resolved, degraded columns ideal) the MatVec hot loop consumes.
@@ -69,7 +87,7 @@ func (q *Quantized) AttachFaults(inj *fault.Injector, id uint64) int {
 		stuckCells: make(map[int]bool),
 		frozen:     make(map[int]bool),
 		remap:      make([]int, q.Cols),
-		class:      make([]reram.ColumnState, q.Cols),
+		class:      make([]ColumnState, q.Cols),
 		eff:        make([]float64, q.Rows*q.Cols),
 		drift:      1,
 	}
@@ -105,8 +123,8 @@ func (q *Quantized) Faulty() bool { return q.faults != nil }
 
 // ColumnStates returns the per-logical-column fault classification (all
 // healthy without an injector).
-func (q *Quantized) ColumnStates() []reram.ColumnState {
-	out := make([]reram.ColumnState, q.Cols)
+func (q *Quantized) ColumnStates() []ColumnState {
+	out := make([]ColumnState, q.Cols)
 	if q.faults != nil {
 		copy(out, q.faults.class)
 	}
@@ -128,7 +146,7 @@ func (q *Quantized) Tick(n int64) {
 // and the drift clock restarts (a full reprogram restores conductances).
 func (f *qFaults) refresh(q *Quantized) {
 	for j := 0; j < q.Cols; j++ {
-		if f.class[j] == reram.ColDegraded {
+		if f.class[j] == ColDegraded {
 			continue // emulated digitally; no point wearing dead silicon
 		}
 		f.programColumn(q, j, f.remap[j])
@@ -194,7 +212,7 @@ func (f *qFaults) columnFaulty(q *Quantized, phys int) bool {
 func (f *qFaults) reclassify(q *Quantized) {
 	spares := f.physCols - q.Cols
 	for j := 0; j < q.Cols; j++ {
-		if f.class[j] == reram.ColDegraded || f.class[j] == reram.ColCorrupt {
+		if f.class[j] == ColDegraded || f.class[j] == ColCorrupt {
 			continue
 		}
 		if !f.columnFaulty(q, f.remap[j]) {
@@ -208,7 +226,7 @@ func (f *qFaults) reclassify(q *Quantized) {
 				continue // spare born bad — skip it for good
 			}
 			f.remap[j] = phys
-			f.class[j] = reram.ColRemapped
+			f.class[j] = ColRemapped
 			f.inj.NoteRemapped(1)
 			f.programColumn(q, j, phys)
 			remapped = true
@@ -218,10 +236,10 @@ func (f *qFaults) reclassify(q *Quantized) {
 			continue
 		}
 		if f.inj.Config().Degrade {
-			f.class[j] = reram.ColDegraded
+			f.class[j] = ColDegraded
 			f.inj.NoteDegraded(1)
 		} else {
-			f.class[j] = reram.ColCorrupt
+			f.class[j] = ColCorrupt
 			f.inj.NoteCorrupted(1)
 		}
 	}
@@ -266,7 +284,7 @@ func (f *qFaults) effCode(cell int) float64 {
 func (f *qFaults) rebuild(q *Quantized) {
 	for j := 0; j < q.Cols; j++ {
 		col := f.eff[j*q.Rows : (j+1)*q.Rows]
-		if f.class[j] == reram.ColDegraded {
+		if f.class[j] == ColDegraded {
 			for r := range col {
 				col[r] = float64(q.codes[r*q.Cols+j])
 			}

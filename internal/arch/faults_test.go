@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pipelayer/internal/fault"
-	"pipelayer/internal/reram"
 	"pipelayer/internal/tensor"
 )
 
@@ -104,7 +103,7 @@ func TestQuantizedDegradeExact(t *testing.T) {
 	states := faulty.ColumnStates()
 	sawDegraded := false
 	for _, s := range states {
-		if s == reram.ColDegraded {
+		if s == ColDegraded {
 			sawDegraded = true
 		}
 	}
@@ -191,6 +190,50 @@ func TestQuantizedEnduranceFreezesWeights(t *testing.T) {
 			if got, want := q.faults.effCode(r*q.faults.physCols+j), float64(frozen.WeightCode(r, j)); got != want {
 				t.Fatalf("cell (%d,%d): frozen code %g, want %g", r, j, got, want)
 			}
+		}
+	}
+}
+
+// TestQuantizedTransientWriteFailureRetryAndGiveUp: a transiently failing
+// write is retried at most Retries times; a cell that still fails is given
+// up and frozen at the code it held (0 before its first write), and with no
+// spares and no degrade every column holding one is left corrupt.
+func TestQuantizedTransientWriteFailureRetryAndGiveUp(t *testing.T) {
+	const rows, cols, bits, retries = 8, 8, 16, 2
+	inj := fault.MustNew(fault.Config{Seed: 21, WriteFail: 0.9, Retries: retries})
+	q := NewQuantized(randTensor(rows*cols, 3), rows, cols, bits)
+	q.AttachFaults(inj, 1)
+
+	c := inj.Counters()
+	if c.Retried == 0 {
+		t.Error("p=0.9 transient failures never retried")
+	}
+	if c.WriteFailed == 0 {
+		t.Error("p=0.9 with 2 retries never gave a cell up")
+	}
+	if c.Retried > retries*rows*cols {
+		t.Errorf("%d retries for %d one-write cells, more than %d each", c.Retried, rows*cols, retries)
+	}
+	frozen := 0
+	for r := 0; r < rows; r++ {
+		for j := 0; j < cols; j++ {
+			cell := r*q.faults.physCols + j
+			got, want := q.faults.effCode(cell), float64(q.WeightCode(r, j))
+			if q.faults.frozen[cell] {
+				frozen++
+				want = 0
+			}
+			if got != want {
+				t.Errorf("cell (%d,%d) frozen=%v reads code %g, want %g", r, j, q.faults.frozen[cell], got, want)
+			}
+		}
+	}
+	if int64(frozen) != c.WriteFailed {
+		t.Errorf("%d frozen cells, %d counted give-ups", frozen, c.WriteFailed)
+	}
+	for j, s := range q.ColumnStates() {
+		if s != ColCorrupt {
+			t.Errorf("column %d is in state %d, want ColCorrupt (no spares, no degrade)", j, s)
 		}
 	}
 }

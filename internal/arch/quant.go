@@ -12,7 +12,6 @@ import (
 
 	"pipelayer/internal/fixed"
 	"pipelayer/internal/parallel"
-	"pipelayer/internal/reram"
 	"pipelayer/internal/telemetry/flight"
 	"pipelayer/internal/tensor"
 )
@@ -214,7 +213,7 @@ func (q *Quantized) MatVec(x *tensor.Tensor) *tensor.Tensor {
 				}
 				s += xc[i] * w
 			}
-			if f != nil && f.drift != 1 && f.class[j] != reram.ColDegraded {
+			if f != nil && f.drift != 1 && f.class[j] != ColDegraded {
 				s *= f.drift
 			}
 			out.Data()[j] = s * k

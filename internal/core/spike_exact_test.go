@@ -45,8 +45,8 @@ func TestSpikeExactEndToEndInference(t *testing.T) {
 	// Spike-exact path: one ResolutionArray per dense layer.
 	dense1 := net.Layers[0].(*nn.Dense)
 	dense2 := net.Layers[2].(*nn.Dense)
-	ra1 := reram.NewResolutionArray(tensor.Transpose(dense1.Weights().Value), in, hid, 0, nil)
-	ra2 := reram.NewResolutionArray(tensor.Transpose(dense2.Weights().Value), hid, out, 0, nil)
+	ra1 := reram.NewResolutionArray(tensor.Transpose(dense1.Weights().Value), in, hid)
+	ra2 := reram.NewResolutionArray(tensor.Transpose(dense2.Weights().Value), hid, out)
 	relu := reram.ReLULUT()
 
 	spikeForward := func(x *tensor.Tensor) *tensor.Tensor {
@@ -64,7 +64,7 @@ func TestSpikeExactEndToEndInference(t *testing.T) {
 		x := tensor.New(in).RandUniform(rng, 0, 1)
 		spikeY := spikeForward(x)
 		fastY := fast.Infer(x)
-		if !tensor.Equal(spikeY, fastY, 1e-12) {
+		if !tensor.Identical(spikeY, fastY) {
 			t.Fatalf("trial %d: spike-exact %v vs replica %v", trial, spikeY.Data(), fastY.Data())
 		}
 	}

@@ -11,9 +11,9 @@
 // The injector itself only answers questions ("is this cell stuck?", "does
 // this write fail?", "how much has conductance drifted after n cycles?") and
 // counts events; the tolerance mechanisms that react to the answers live
-// with the device models: write-verify retry in internal/reram, spare-column
-// remapping and digital-emulation degrade in internal/reram and
-// internal/arch, and periodic drift refresh in internal/core.
+// with the device model: write retry, spare-column remapping and
+// digital-emulation degrade in internal/arch's fault model, and periodic
+// drift refresh in internal/core.
 package fault
 
 import (
@@ -53,12 +53,12 @@ type Config struct {
 	// exceeds it the cell wears out and freezes at its last conductance.
 	// 0 means unlimited endurance.
 	Endurance int64
-	// WriteFail is the probability that one program-and-verify attempt
-	// fails transiently (the cell refuses the target this attempt).
+	// WriteFail is the probability that one write attempt fails
+	// transiently (the cell refuses the target this attempt).
 	WriteFail float64
-	// Retries bounds the write-verify retry loop: a failing write is
-	// retried up to Retries times with exponentially backed-off pulse
-	// budgets before the cell is given up and marked stuck.
+	// Retries bounds the write retry loop: a write that fails transiently
+	// is retried up to Retries times before the cell is given up and
+	// frozen, like a worn-out cell, at the code it last held.
 	Retries int
 	// Spares is the number of redundant columns per crossbar available for
 	// remapping faulty logical columns.
@@ -115,7 +115,7 @@ func RegisterFlags(fs *flag.FlagSet) *Config {
 	fs.Float64Var(&c.Drift, "fault-drift", 0, "log-time conductance drift coefficient ν ((1+age)^-ν per compute cycle)")
 	fs.Int64Var(&c.Endurance, "fault-endurance", 0, "per-cell write budget before wear-out (0 = unlimited)")
 	fs.Float64Var(&c.WriteFail, "fault-write-fail", 0, "transient write failure probability per program attempt")
-	fs.IntVar(&c.Retries, "fault-retries", 3, "bounded write-verify retries (exponential pulse backoff) before a cell is marked stuck")
+	fs.IntVar(&c.Retries, "fault-retries", 3, "bounded write retries before a cell is given up and frozen at its last code")
 	fs.IntVar(&c.Spares, "fault-spares", 4, "spare columns per crossbar for remapping faulty columns")
 	fs.BoolVar(&c.Degrade, "fault-degrade", true, "fall back to exact digital emulation once spares are exhausted")
 	fs.IntVar(&c.Refresh, "fault-refresh", 0, "cycles between drift-refresh reprograms (0 = off)")

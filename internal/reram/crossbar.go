@@ -2,7 +2,6 @@ package reram
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pipelayer/internal/parallel"
 	"pipelayer/internal/spike"
@@ -32,32 +31,15 @@ func (s *Stats) Add(o Stats) {
 type Crossbar struct {
 	Rows, Cols int
 	cells      []Cell // row-major
-	variation  float64
-	rng        *rand.Rand
 	stats      Stats
-	// faults is the optional fault-injection state (see faults.go); nil
-	// means the ideal device model with zero overhead on the read path.
-	faults *xbarFaults
 }
 
-// NewCrossbar allocates an ideal crossbar; use NewNoisyCrossbar for device
-// variation.
+// NewCrossbar allocates an ideal crossbar.
 func NewCrossbar(rows, cols int) *Crossbar {
-	return NewNoisyCrossbar(rows, cols, 0, nil)
-}
-
-// NewNoisyCrossbar allocates a crossbar whose cells are programmed with the
-// given relative conductance variation drawn from rng.
-func NewNoisyCrossbar(rows, cols int, variation float64, rng *rand.Rand) *Crossbar {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("reram: invalid crossbar size %dx%d", rows, cols))
 	}
-	return &Crossbar{
-		Rows: rows, Cols: cols,
-		cells:     make([]Cell, rows*cols),
-		variation: variation,
-		rng:       rng,
-	}
+	return &Crossbar{Rows: rows, Cols: cols, cells: make([]Cell, rows*cols)}
 }
 
 // ProgramCodes writes a full row-major code matrix into the array. Each cell
@@ -67,23 +49,10 @@ func (x *Crossbar) ProgramCodes(codes []uint8) {
 	if len(codes) != x.Rows*x.Cols {
 		panic(fmt.Sprintf("reram: ProgramCodes got %d codes for %dx%d array", len(codes), x.Rows, x.Cols))
 	}
-	if x.faults == nil {
-		for i, c := range codes {
-			x.cells[i].Program(c, x.variation, x.rng)
-		}
-		x.stats.CellWrites += len(codes)
-		return
-	}
 	for i, c := range codes {
-		x.programCell(i, c)
+		x.cells[i].Program(c)
 	}
-	// A full-array reprogram restores every drifted conductance.
-	x.faults.resetDrift()
-}
-
-// ProgramCell writes a single cell (through the fault model when attached).
-func (x *Crossbar) ProgramCell(row, col int, code uint8) {
-	x.programCell(row*x.Cols+col, code)
+	x.stats.CellWrites += len(codes)
 }
 
 // Code returns the programmed code of one cell.
@@ -104,18 +73,11 @@ func (x *Crossbar) MatVecSpike(inputCodes []uint64, inBits int) []int {
 	// parallelism — so columns chunk across the worker pool, each chunk with
 	// its own conductance buffer and IF units. The stats counters accumulate
 	// serially afterwards so they match the serial path exactly.
-	f := x.faults
 	parallel.Default().For(x.Cols, parallel.Grain(x.Rows*inBits), func(lo, hi int) {
 		col := make([]float64, x.Rows)
 		for j := lo; j < hi; j++ {
-			if f == nil {
-				for i := 0; i < x.Rows; i++ {
-					col[i] = x.cells[i*x.Cols+j].Conductance()
-				}
-			} else {
-				for i := 0; i < x.Rows; i++ {
-					col[i] = f.conductance(x, i*x.Cols+j)
-				}
+			for i := 0; i < x.Rows; i++ {
+				col[i] = x.cells[i*x.Cols+j].Conductance()
 			}
 			f := spike.NewIntegrateFire(1)
 			out[j], inSpikes[j] = spike.DotProduct(trains, col, f)

@@ -11,7 +11,7 @@ import (
 
 func TestCellProgramAndRead(t *testing.T) {
 	var c Cell
-	c.Program(9, 0, nil)
+	c.Program(9)
 	if c.Code() != 9 || c.Conductance() != 9 {
 		t.Fatalf("cell: code=%d g=%g", c.Code(), c.Conductance())
 	}
@@ -24,19 +24,7 @@ func TestCellProgramOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Program(16, 0, nil)
-}
-
-func TestCellVariationPerturbsConductance(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var c Cell
-	c.Program(8, 0.1, rng)
-	if c.Conductance() == 8 {
-		t.Fatal("variation should perturb conductance (vanishingly unlikely to be exact)")
-	}
-	if c.Conductance() < 0 {
-		t.Fatal("conductance must be non-negative")
-	}
+	c.Program(16)
 }
 
 func TestCrossbarMatVecSpikeExact(t *testing.T) {
@@ -82,7 +70,7 @@ func TestSignedPairSubtraction(t *testing.T) {
 func TestResolutionArrayExactCodes(t *testing.T) {
 	// Weight +1.0 maps to code 65535; input code 3 → product 3*65535.
 	w := tensor.FromSlice([]float64{1.0}, 1)
-	ra := NewResolutionArray(w, 1, 1, 0, nil)
+	ra := NewResolutionArray(w, 1, 1)
 	out := ra.MatVecCodes([]uint64{3}, 4)
 	if out[0] != 3*65535 {
 		t.Fatalf("MatVecCodes = %d, want %d", out[0], 3*65535)
@@ -93,7 +81,7 @@ func TestResolutionArrayMatVecFloatAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rows, cols := 32, 8
 	w := tensor.New(rows*cols).RandNormal(rng, 0, 1)
-	ra := NewResolutionArray(w, rows, cols, 0, nil)
+	ra := NewResolutionArray(w, rows, cols)
 	x := tensor.New(rows).RandUniform(rng, 0, 1)
 	got := ra.MatVecFloat(x, 16)
 	// Reference: out_j = Σ_i x_i · w_ij with w row-major (rows, cols).
@@ -117,7 +105,7 @@ func TestResolutionArraySignedInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rows, cols := 16, 4
 	w := tensor.New(rows*cols).RandNormal(rng, 0, 1)
-	ra := NewResolutionArray(w, rows, cols, 0, nil)
+	ra := NewResolutionArray(w, rows, cols)
 	x := tensor.New(rows).RandNormal(rng, 0, 1) // signed
 	got := ra.MatVecFloat(x, 16)
 	for j := 0; j < cols; j++ {
@@ -133,7 +121,7 @@ func TestResolutionArraySignedInputs(t *testing.T) {
 
 func TestResolutionArrayZeroInput(t *testing.T) {
 	w := tensor.FromSlice([]float64{1, -1}, 2)
-	ra := NewResolutionArray(w, 2, 1, 0, nil)
+	ra := NewResolutionArray(w, 2, 1)
 	out := ra.MatVecFloat(tensor.New(2), 8)
 	if out.At(0) != 0 {
 		t.Fatalf("zero input must give zero output, got %g", out.At(0))
@@ -142,7 +130,7 @@ func TestResolutionArrayZeroInput(t *testing.T) {
 
 func TestResolutionArrayReprogram(t *testing.T) {
 	w1 := tensor.FromSlice([]float64{0.5}, 1)
-	ra := NewResolutionArray(w1, 1, 1, 0, nil)
+	ra := NewResolutionArray(w1, 1, 1)
 	before := ra.MatVecFloat(tensor.FromSlice([]float64{1}, 1), 8).At(0)
 	ra.Program(tensor.FromSlice([]float64{-0.5}, 1))
 	after := ra.MatVecFloat(tensor.FromSlice([]float64{1}, 1), 8).At(0)
@@ -158,7 +146,7 @@ func TestPropertyResolutionShiftAdd(t *testing.T) {
 		// A second weight of exactly 1.0 pins the scale so the first weight's
 		// code is wcode itself; its input is held at zero.
 		w := tensor.FromSlice([]float64{float64(wcode) / 65535.0, 1.0}, 2)
-		ra := NewResolutionArray(w, 2, 1, 0, nil)
+		ra := NewResolutionArray(w, 2, 1)
 		x := uint64(xraw % 16)
 		out := ra.MatVecCodes([]uint64{x, 0}, 4)
 		return out[0] == int64(x)*int64(wcode)
@@ -194,61 +182,5 @@ func TestLUTValidation(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestMorphableModes(t *testing.T) {
-	m := NewMorphable()
-	if m.Mode() != ModeMemory {
-		t.Fatal("new subarray must be in memory mode")
-	}
-	m.Store(tensor.FromSlice([]float64{1, 2}, 2))
-	if got := m.Load(); got.At(1) != 2 {
-		t.Fatalf("Load = %v", got.Data())
-	}
-	w := tensor.FromSlice([]float64{0.5}, 1)
-	m.ConfigureCompute(NewResolutionArray(w, 1, 1, 0, nil))
-	if m.Mode() != ModeCompute {
-		t.Fatal("mode should be compute")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Store in compute mode must panic")
-		}
-	}()
-	m.Store(tensor.New(1))
-}
-
-func TestMorphableLoadEmptyIsNil(t *testing.T) {
-	m := NewMorphable()
-	if m.Load() != nil {
-		t.Fatal("empty subarray must load nil")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if ModeCompute.String() != "compute" || ModeMemory.String() != "memory" {
-		t.Fatal("Mode.String broken")
-	}
-	if Mode(9).String() == "" {
-		t.Fatal("unknown mode must still render")
-	}
-}
-
-func TestNoisyArrayStillApproximates(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rows, cols := 64, 4
-	w := tensor.New(rows*cols).RandNormal(rng, 0, 1)
-	ra := NewResolutionArray(w, rows, cols, 0.02, rng)
-	x := tensor.New(rows).RandUniform(rng, 0, 1)
-	got := ra.MatVecFloat(x, 16)
-	for j := 0; j < cols; j++ {
-		s := 0.0
-		for i := 0; i < rows; i++ {
-			s += x.At(i) * w.Data()[i*cols+j]
-		}
-		if math.Abs(got.At(j)-s) > 0.25*(1+math.Abs(s)) {
-			t.Fatalf("noisy col %d too far off: %g vs %g", j, got.At(j), s)
-		}
 	}
 }

@@ -3,53 +3,17 @@ package reram
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
-	"pipelayer/internal/fault"
 	"pipelayer/internal/fixed"
 	"pipelayer/internal/tensor"
-)
-
-// ColumnState classifies one logical column of a fault-tolerant SignedPair.
-type ColumnState uint8
-
-const (
-	// ColHealthy computes on its original physical column.
-	ColHealthy ColumnState = iota
-	// ColRemapped computes on a spare physical column.
-	ColRemapped
-	// ColDegraded is emulated digitally (exact ideal result) because every
-	// spare was exhausted and graceful degradation is enabled.
-	ColDegraded
-	// ColCorrupt keeps computing on faulty cells: no spare was available
-	// and degradation is disabled, so its outputs are wrong.
-	ColCorrupt
 )
 
 // SignedPair is the positive/negative crossbar pair of Section 4.2.3:
 // positive weight magnitudes are programmed into the positive array,
 // negative magnitudes into the negative array, and the activation
 // component's subtractor computes D_P − D_N.
-//
-// A pair built with NewFaultySignedPair additionally carries spare columns
-// and a remap table: after every program the pair re-checks its physical
-// columns against the fault state, reroutes faulty logical columns to healthy
-// spares, and — once spares run out — either degrades a column to exact
-// digital emulation of its intended codes or leaves it corrupt, per the
-// injector's config. All repair decisions happen inside Program calls
-// (serial), never during readout.
 type SignedPair struct {
 	Pos, Neg *Crossbar
-
-	// Fault-tolerance state; remap == nil means a plain pair.
-	logical   int
-	inj       *fault.Injector
-	remap     []int         // logical column → physical column
-	class     []ColumnState // per logical column
-	nextSpare int           // next never-tried spare index
-	// Intended logical code matrices (row-major, rows×logical), kept for
-	// spare reprogramming and digital emulation of degraded columns.
-	posCodes, negCodes []uint8
 }
 
 // NewSignedPair allocates an ideal pair of rows×cols arrays.
@@ -57,180 +21,22 @@ func NewSignedPair(rows, cols int) *SignedPair {
 	return &SignedPair{Pos: NewCrossbar(rows, cols), Neg: NewCrossbar(rows, cols)}
 }
 
-// NewNoisySignedPair allocates a pair with device variation.
-func NewNoisySignedPair(rows, cols int, variation float64, rng *rand.Rand) *SignedPair {
-	return &SignedPair{
-		Pos: NewNoisyCrossbar(rows, cols, variation, rng),
-		Neg: NewNoisyCrossbar(rows, cols, variation, rng),
-	}
-}
-
-// NewFaultySignedPair allocates a fault-tolerant pair: rows×(cols+spares)
-// physical arrays serving cols logical columns, with the injector's stuck-at
-// maps attached under crossbar ids 2·id (positive) and 2·id+1 (negative).
-// A nil injector yields a plain ideal pair.
-func NewFaultySignedPair(rows, cols int, inj *fault.Injector, id uint64) *SignedPair {
-	if inj == nil {
-		return NewSignedPair(rows, cols)
-	}
-	spares := inj.Config().Spares
-	p := &SignedPair{
-		Pos:     NewCrossbar(rows, cols+spares),
-		Neg:     NewCrossbar(rows, cols+spares),
-		logical: cols,
-		inj:     inj,
-		remap:   make([]int, cols),
-		class:   make([]ColumnState, cols),
-	}
-	p.Pos.AttachFaults(inj, 2*id)
-	p.Neg.AttachFaults(inj, 2*id+1)
-	for j := range p.remap {
-		p.remap[j] = j
-	}
-	return p
-}
-
-// LogicalCols returns the number of logical columns the pair serves (the
-// physical arrays of a faulty pair are wider by the spare count).
-func (p *SignedPair) LogicalCols() int {
-	if p.remap != nil {
-		return p.logical
-	}
-	return p.Pos.Cols
-}
-
-// State returns the fault classification of one logical column.
-func (p *SignedPair) State(j int) ColumnState {
-	if p.remap == nil {
-		return ColHealthy
-	}
-	return p.class[j]
-}
-
-// ProgramCodes writes the row-major positive and negative logical code
-// matrices into the pair. On a plain pair this programs both arrays directly;
-// on a faulty pair each logical column is written to its currently mapped
-// physical column and the remap/degrade state is re-evaluated afterwards.
+// ProgramCodes writes the row-major positive and negative code matrices
+// into the pair.
 func (p *SignedPair) ProgramCodes(pos, neg []uint8) {
-	if p.remap == nil {
-		p.Pos.ProgramCodes(pos)
-		p.Neg.ProgramCodes(neg)
-		return
-	}
-	if want := p.Pos.Rows * p.logical; len(pos) != want || len(neg) != want {
-		panic(fmt.Sprintf("reram: ProgramCodes got %d/%d codes for %dx%d pair", len(pos), len(neg), p.Pos.Rows, p.logical))
-	}
-	p.posCodes = append(p.posCodes[:0], pos...)
-	p.negCodes = append(p.negCodes[:0], neg...)
-	for j := 0; j < p.logical; j++ {
-		if p.class[j] == ColDegraded {
-			continue // emulated digitally; no point wearing dead silicon
-		}
-		p.writeColumn(j, p.remap[j])
-	}
-	p.Pos.faults.resetDrift()
-	p.Neg.faults.resetDrift()
-	p.reclassify()
-}
-
-// writeColumn programs logical column j into physical column phys on both
-// arrays, through the fault model.
-func (p *SignedPair) writeColumn(j, phys int) {
-	for r := 0; r < p.Pos.Rows; r++ {
-		i := r*p.logical + j
-		p.Pos.programCell(r*p.Pos.Cols+phys, p.posCodes[i])
-		p.Neg.programCell(r*p.Neg.Cols+phys, p.negCodes[i])
-	}
-}
-
-// columnFaulty reports whether the physical column is damaged on either array.
-func (p *SignedPair) columnFaulty(phys int) bool {
-	return p.Pos.columnFaulty(phys) || p.Neg.columnFaulty(phys)
-}
-
-// reclassify walks the logical columns after a program: any column whose
-// physical column is damaged (stuck cells, wear-out, abandoned writes) is
-// rerouted to the next healthy spare and reprogrammed there; once spares are
-// exhausted the column degrades to digital emulation (if enabled) or is left
-// corrupt. Degraded and corrupt states are terminal; a remapped column whose
-// spare later dies is rerouted again.
-func (p *SignedPair) reclassify() {
-	spares := p.Pos.Cols - p.logical
-	for j := 0; j < p.logical; j++ {
-		if p.class[j] == ColDegraded || p.class[j] == ColCorrupt {
-			continue
-		}
-		if !p.columnFaulty(p.remap[j]) {
-			continue
-		}
-		remapped := false
-		for p.nextSpare < spares {
-			phys := p.logical + p.nextSpare
-			p.nextSpare++
-			if p.columnFaulty(phys) {
-				continue // spare born bad — skip it for good
-			}
-			p.remap[j] = phys
-			p.class[j] = ColRemapped
-			p.inj.NoteRemapped(1)
-			p.writeColumn(j, phys)
-			remapped = true
-			break
-		}
-		if remapped {
-			continue
-		}
-		if p.inj.Config().Degrade {
-			p.class[j] = ColDegraded
-			p.inj.NoteDegraded(1)
-		} else {
-			p.class[j] = ColCorrupt
-			p.inj.NoteCorrupted(1)
-		}
-	}
-}
-
-// digitalColumn is the graceful-degradation fallback: the exact integer
-// result Σ_i input_i·(pos_ij − neg_ij) the analog column would produce with
-// ideal devices (the spike readout is exact for integer conductances).
-func (p *SignedPair) digitalColumn(j int, inputCodes []uint64) int {
-	s := 0
-	for r := 0; r < p.Pos.Rows; r++ {
-		i := r*p.logical + j
-		s += int(inputCodes[r]) * (int(p.posCodes[i]) - int(p.negCodes[i]))
-	}
-	return s
-}
-
-// Tick advances the drift age of both arrays by n compute cycles.
-func (p *SignedPair) Tick(n int64) {
-	p.Pos.Tick(n)
-	p.Neg.Tick(n)
+	p.Pos.ProgramCodes(pos)
+	p.Neg.ProgramCodes(neg)
 }
 
 // MatVecSpike runs both arrays on the same spike-coded input and returns the
-// signed per-column counts D_P − D_N. On a faulty pair, outputs are gathered
-// through the remap table and degraded columns are emulated digitally.
+// signed per-column counts D_P − D_N.
 func (p *SignedPair) MatVecSpike(inputCodes []uint64, inBits int) []int {
 	dp := p.Pos.MatVecSpike(inputCodes, inBits)
 	dn := p.Neg.MatVecSpike(inputCodes, inBits)
-	if p.remap == nil {
-		out := make([]int, len(dp))
-		for i := range dp {
-			out[i] = dp[i] - dn[i]
-		}
-		return out
+	for i := range dp {
+		dp[i] -= dn[i]
 	}
-	out := make([]int, p.logical)
-	for j := range out {
-		if p.class[j] == ColDegraded {
-			out[j] = p.digitalColumn(j, inputCodes)
-			continue
-		}
-		phys := p.remap[j]
-		out[j] = dp[phys] - dn[phys]
-	}
-	return out
+	return dp
 }
 
 // Stats returns the combined event counts of both arrays.
@@ -238,12 +44,6 @@ func (p *SignedPair) Stats() Stats {
 	s := p.Pos.Stats()
 	s.Add(p.Neg.Stats())
 	return s
-}
-
-// ResetStats clears both arrays' counters.
-func (p *SignedPair) ResetStats() {
-	p.Pos.ResetStats()
-	p.Neg.ResetStats()
 }
 
 // ResolutionArray stores a signed weight matrix at full WeightBits (16-bit)
@@ -256,43 +56,18 @@ type ResolutionArray struct {
 	groups     [fixed.Groups]*SignedPair
 	// scale maps weight code 65535 back to the analog magnitude wMax.
 	scale float64
-	// inj/master support drift refresh on fault-tolerant arrays: master is
-	// a copy of the last programmed weights, so Refresh can rewrite the
-	// (drifted) cells without the caller re-supplying them.
-	inj    *fault.Injector
-	master *tensor.Tensor
 }
 
 // NewResolutionArray programs a (rows×cols) float weight matrix W (tensor
 // with rows*cols elements, row-major, rows = input dim, cols = output dim)
-// into 4 signed pairs. variation/rng model programming noise (0/nil = ideal).
-func NewResolutionArray(w *tensor.Tensor, rows, cols int, variation float64, rng *rand.Rand) *ResolutionArray {
+// into 4 signed pairs.
+func NewResolutionArray(w *tensor.Tensor, rows, cols int) *ResolutionArray {
 	if w.Size() != rows*cols {
 		panic(fmt.Sprintf("reram: weight tensor has %d elems for %dx%d array", w.Size(), rows, cols))
 	}
-	ra := &ResolutionArray{Rows: rows, Cols: cols, scale: w.AbsMax()}
+	ra := &ResolutionArray{Rows: rows, Cols: cols}
 	for g := range ra.groups {
-		ra.groups[g] = NewNoisySignedPair(rows, cols, variation, rng)
-	}
-	ra.Program(w)
-	return ra
-}
-
-// NewFaultyResolutionArray programs the weight matrix into four
-// fault-tolerant signed pairs wired to the injector. baseID namespaces the
-// array's eight crossbars in the injector's deterministic draw space, so
-// callers must pick a distinct baseID per ResolutionArray. A nil injector
-// yields an ideal array.
-func NewFaultyResolutionArray(w *tensor.Tensor, rows, cols int, inj *fault.Injector, baseID uint64) *ResolutionArray {
-	if inj == nil {
-		return NewResolutionArray(w, rows, cols, 0, nil)
-	}
-	if w.Size() != rows*cols {
-		panic(fmt.Sprintf("reram: weight tensor has %d elems for %dx%d array", w.Size(), rows, cols))
-	}
-	ra := &ResolutionArray{Rows: rows, Cols: cols, scale: w.AbsMax(), inj: inj}
-	for g := range ra.groups {
-		ra.groups[g] = NewFaultySignedPair(rows, cols, inj, baseID*fixed.Groups+uint64(g))
+		ra.groups[g] = NewSignedPair(rows, cols)
 	}
 	ra.Program(w)
 	return ra
@@ -328,41 +103,6 @@ func (ra *ResolutionArray) Program(w *tensor.Tensor) {
 	for g := 0; g < fixed.Groups; g++ {
 		ra.groups[g].ProgramCodes(posCodes[g], negCodes[g])
 	}
-	if ra.inj != nil {
-		ra.master = w.Clone()
-	}
-}
-
-// Refresh reprograms the array from its master weights, restoring every
-// drifted conductance — the periodic tolerance mechanism against log-time
-// drift. No-op on arrays without fault state.
-func (ra *ResolutionArray) Refresh() {
-	if ra.master != nil {
-		ra.Program(ra.master)
-		ra.inj.NoteRefresh()
-	}
-}
-
-// Tick advances the drift age of every crossbar by n compute cycles.
-func (ra *ResolutionArray) Tick(n int64) {
-	for _, g := range ra.groups {
-		g.Tick(n)
-	}
-}
-
-// ColumnStates returns, per logical column, the worst fault classification
-// across the four resolution groups (a column is only as healthy as its most
-// degraded bit slice).
-func (ra *ResolutionArray) ColumnStates() []ColumnState {
-	out := make([]ColumnState, ra.Cols)
-	for _, g := range ra.groups {
-		for j := range out {
-			if s := g.State(j); s > out[j] {
-				out[j] = s
-			}
-		}
-	}
-	return out
 }
 
 // Scale returns the analog magnitude corresponding to the all-ones code.
@@ -433,11 +173,4 @@ func (ra *ResolutionArray) Stats() Stats {
 		s.Add(g.Stats())
 	}
 	return s
-}
-
-// ResetStats clears all counters.
-func (ra *ResolutionArray) ResetStats() {
-	for _, g := range ra.groups {
-		g.ResetStats()
-	}
 }

@@ -48,11 +48,11 @@ var (
 type Config struct {
 	// Replicas is the number of workers — the batches in flight at once —
 	// and the shard chain's total replica budget (default max(Shards, 1)).
-	// Each replica shares the trained machine's programmed arrays but owns
-	// its activation state. Every shard gets one replica and each further
-	// one goes to the shard with the highest cost per replica, so an
-	// unsharded server runs Replicas whole-model replicas and a sharded one
-	// replicates its bottleneck shard.
+	// Every replica shares the trained machine's programmed arrays and
+	// holds no activations of its own. Every shard gets one replica and
+	// each further one goes to the shard with the highest cost per replica,
+	// so an unsharded server runs Replicas whole-model replicas and a
+	// sharded one replicates its bottleneck shard.
 	Replicas int
 	// Shards, when >= 2, splits the network into a pipelined chain of
 	// contiguous layer-range shards (internal/shard): shard k computes batch

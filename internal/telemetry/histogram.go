@@ -53,18 +53,17 @@ func (h *Histogram) Bounds() []float64 {
 	return append([]float64(nil), h.bounds...)
 }
 
-// Counts returns a copy of the per-bucket counts (last entry is +Inf).
-func (h *Histogram) Counts() []uint64 {
+// snapshot copies the whole state under one lock acquisition, so its counts,
+// sum and count describe the same observations even while Observe runs.
+func (h *Histogram) snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]uint64(nil), h.counts...)
-}
-
-// Sum returns the running sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
+	return HistogramSnapshot{
+		Bounds: h.Bounds(),
+		Counts: append([]uint64(nil), h.counts...),
+		Sum:    jsonSafe(h.sum),
+		Count:  h.count,
+	}
 }
 
 // Count returns the total number of observations.

@@ -101,12 +101,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = jsonSafe(g.Value())
 	}
 	for name, h := range r.histograms {
-		s.Histograms[name] = HistogramSnapshot{
-			Bounds: h.Bounds(),
-			Counts: h.Counts(),
-			Sum:    jsonSafe(h.Sum()),
-			Count:  h.Count(),
-		}
+		s.Histograms[name] = h.snapshot()
 	}
 	for name, sp := range r.spans {
 		s.Spans[name] = SpanSnapshot{

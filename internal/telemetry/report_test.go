@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -253,5 +254,44 @@ func TestStartPprofServesMetrics(t *testing.T) {
 	n, _ := resp.Body.Read(buf)
 	if !strings.Contains(string(buf[:n]), "images_total 128") {
 		t.Fatalf("pprof listener /metrics wrong:\n%s", buf[:n])
+	}
+}
+
+// TestSnapshotHistogramNotTorn snapshots a histogram while two goroutines
+// observe it. Every snapshot must be one consistent state: its buckets sum to
+// its count, so the Prometheus +Inf bucket equals _count, and its sum (every
+// observation is 1) equals its count.
+func TestSnapshotHistogramNotTorn(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("lat", []float64{0.5, 2})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(1)
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2000; i++ {
+		s := reg.Snapshot().Histograms["lat"]
+		var buckets uint64
+		for _, c := range s.Counts {
+			buckets += c
+		}
+		if buckets != s.Count || s.Sum != float64(s.Count) {
+			t.Fatalf("snapshot %d is torn: buckets sum to %d, count %d, sum %g", i, buckets, s.Count, s.Sum)
+		}
 	}
 }

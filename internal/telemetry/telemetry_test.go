@@ -84,18 +84,18 @@ func TestHistogramBucketEdges(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHistogram(bounds)
 			h.Observe(tc.value)
-			counts := h.Counts()
-			for i, c := range counts {
+			s := h.snapshot()
+			for i, c := range s.Counts {
 				want := uint64(0)
 				if i == tc.bucket {
 					want = 1
 				}
 				if c != want {
-					t.Fatalf("Observe(%g): counts=%v, want value in bucket %d", tc.value, counts, tc.bucket)
+					t.Fatalf("Observe(%g): counts=%v, want value in bucket %d", tc.value, s.Counts, tc.bucket)
 				}
 			}
-			if h.Count() != 1 || h.Sum() != tc.value {
-				t.Fatalf("Observe(%g): count=%d sum=%g", tc.value, h.Count(), h.Sum())
+			if s.Count != 1 || s.Sum != tc.value {
+				t.Fatalf("Observe(%g): count=%d sum=%g", tc.value, s.Count, s.Sum)
 			}
 		})
 	}
