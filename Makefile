@@ -8,7 +8,7 @@ STATICCHECK_VERSION ?= 2025.1
 # go run pkg@version pattern as staticcheck).
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-online fault-smoke serve-smoke examples-smoke lint bench bench-smoke perfbench-smoke bench-regression clean
+.PHONY: build test test-shuffle check fmt vet analyze analyze-json analyze-fix vulncheck race race-telemetry race-fault race-serve race-online fault-smoke serve-smoke sim-smoke examples-smoke lint bench bench-smoke perfbench-smoke bench-regression clean
 
 build:
 	$(GO) build ./...
@@ -119,6 +119,16 @@ serve-smoke:
 fault-smoke:
 	$(GO) run ./cmd/pipelayer-bench -faults -quick -telemetry "" -faultout BENCH_fault.json > /dev/null
 	@test -s BENCH_fault.json && echo "BENCH_fault.json written"
+
+# sim-smoke runs the cycle simulator's CLI once per schedule: pipelined
+# (Figure 6) and sequential (Figure 7a) training, each printing the Gantt
+# chart, and pipelined testing. Every run plays its whole schedule through
+# the liveness-checked circular buffers, so a schedule that double-books a
+# unit or overwrites live data exits non-zero here.
+sim-smoke:
+	$(GO) run ./cmd/pipelayer-sim -net Mnist-A -mode train -batch 10 -images 100 -trace
+	$(GO) run ./cmd/pipelayer-sim -net Mnist-A -mode train -batch 10 -images 100 -trace -no-pipeline
+	$(GO) run ./cmd/pipelayer-sim -net Mnist-A -mode test -batch 10 -images 100
 
 # lint needs network access the first time (module proxy fetch of the pinned
 # staticcheck); afterwards the module cache makes it hermetic.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pipelayer/internal/networks"
+	"pipelayer/internal/pipeline"
 	"pipelayer/internal/tensor"
 	"pipelayer/internal/testutil"
 )
@@ -125,34 +126,34 @@ func TestPipelinedTrainValidation(t *testing.T) {
 }
 
 func TestRingLivenessAndDepth(t *testing.T) {
-	r := newRing("x", 2)
+	r := pipeline.NewCircularBuffer[*tensor.Tensor]("x", 2)
 	a := tensor.FromSlice([]float64{1}, 1)
 	b := tensor.FromSlice([]float64{2}, 1)
-	r.write(0, a)
-	r.write(1, b)
-	if got := r.peek(0); got.At(0) != 1 {
+	r.Write(0, a)
+	r.Write(1, b)
+	if got := r.Peek(0); got.At(0) != 1 {
 		t.Fatal("peek broken")
 	}
-	if got := r.consume(0); got.At(0) != 1 {
+	if got := r.Consume(0); got.At(0) != 1 {
 		t.Fatal("consume broken")
 	}
 	// Slot 0 drained: the third write must succeed.
-	r.write(2, a)
+	r.Write(2, a)
 	// Now both slots live: a fourth write must panic.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected overwrite panic")
 		}
 	}()
-	r.write(3, b)
+	r.Write(3, b)
 }
 
 func TestRingConsumeMissingPanics(t *testing.T) {
-	r := newRing("x", 1)
+	r := pipeline.NewCircularBuffer[*tensor.Tensor]("x", 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	r.consume(7)
+	r.Consume(7)
 }

@@ -17,7 +17,7 @@ const (
 )
 
 // stageTelemetry caches one pipeline stage's instruments so the hot loops
-// pay two atomic adds per timed region instead of a registry lookup and a
+// pay one span lock per timed region instead of a registry lookup and a
 // label-formatting allocation per image.
 type stageTelemetry struct {
 	spans   [3]*telemetry.Span // core_stage_{forward,backward,update}_seconds, by stageOp

@@ -101,12 +101,12 @@ func TestBufferDepthRuleIsMinimal(t *testing.T) {
 				panicked = true
 			}
 		}()
-		b := NewCircularBuffer("replay", depth)
+		b := NewCircularBuffer[int]("replay", depth)
 		for t := 0; t < n; t++ {
 			if t >= gap {
 				b.Consume(t - gap) // consume-before-write within the cycle
 			}
-			b.Write(t)
+			b.Write(t, t)
 		}
 		return false
 	}
@@ -123,18 +123,18 @@ func TestBufferDepthRuleIsMinimal(t *testing.T) {
 }
 
 func TestCircularBufferLivenessPanic(t *testing.T) {
-	b := NewCircularBuffer("x", 1)
-	b.Write(0)
+	b := NewCircularBuffer[int]("x", 1)
+	b.Write(0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected overwrite panic")
 		}
 	}()
-	b.Write(1)
+	b.Write(1, 1)
 }
 
 func TestCircularBufferConsumeMissingPanics(t *testing.T) {
-	b := NewCircularBuffer("x", 2)
+	b := NewCircularBuffer[int]("x", 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for missing entry")
@@ -144,15 +144,22 @@ func TestCircularBufferConsumeMissingPanics(t *testing.T) {
 }
 
 func TestCircularBufferPeek(t *testing.T) {
-	b := NewCircularBuffer("x", 2)
-	b.Write(3)
-	if !b.Peek(3) || b.Peek(4) {
+	b := NewCircularBuffer[int]("x", 2)
+	b.Write(3, 30)
+	if b.Peek(3) != 30 || !panics(func() { b.Peek(4) }) {
 		t.Fatal("Peek wrong")
 	}
 	b.Consume(3)
-	if b.Peek(3) {
+	if !panics(func() { b.Peek(3) }) {
 		t.Fatal("consumed entry must not be live")
 	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
 }
 
 func TestSimulateRejectsBadConfig(t *testing.T) {

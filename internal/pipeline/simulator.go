@@ -3,13 +3,13 @@ package pipeline
 import (
 	"fmt"
 
-	"pipelayer/internal/mapping"
 	"pipelayer/internal/telemetry"
 )
 
-// Config describes one simulated run.
+// Config describes one run of the schedule.
 type Config struct {
-	// L is the number of weighted layers.
+	// L is the number of layers: the weighted layers of Table 2's model,
+	// or every engine stage in core's pipelined executor.
 	L int
 	// B is the batch size (training only; must divide N).
 	B int
@@ -80,214 +80,59 @@ func (r Result) Record(reg *telemetry.Registry) {
 	}
 }
 
-// event is one scheduled hardware operation.
-type event struct {
-	cycle int
-	unit  string // hardware unit, used ≤ 1×/cycle
-	// consume lists (buffer, image) pairs read-and-retired this cycle.
-	consume []bufRef
-	// write lists (buffer, image) pairs written this cycle.
-	write []bufRef
-}
-
-type bufRef struct {
-	buf   string
-	image int
-}
-
-// Simulate plays the schedule cycle by cycle through liveness-checked
+// Simulate plays cfg's schedule cycle by cycle through liveness-checked
 // circular buffers, panicking on any overwrite of live data or double-booked
 // unit, and returns the cycle count and buffer statistics.
 //
 // The returned cycle counts are validated against the Table 2 closed forms
 // by the package tests (see mapping.NonPipelinedTrainingCycles etc.).
 func Simulate(cfg Config) Result {
-	if cfg.L <= 0 || cfg.N <= 0 {
-		panic("pipeline: L and N must be positive")
-	}
-	if cfg.Training {
-		if cfg.B <= 0 || cfg.N%cfg.B != 0 {
-			panic(fmt.Sprintf("pipeline: batch %d must divide N %d", cfg.B, cfg.N))
-		}
-	}
-
-	events := buildSchedule(cfg)
-
-	// Build buffers with the Section 3.3 depths.
-	buffers := map[string]*CircularBuffer{}
-	mkbuf := func(name string, depth int) {
-		buffers[name] = NewCircularBuffer(name, depth)
-	}
-	L := cfg.L
-	if cfg.Training {
-		for l := 1; l < L; l++ {
-			depth := mapping.BufferDepth(L, l)
-			if !cfg.Pipelined {
-				depth = 1 // sequential processing reuses a single entry
-			}
-			mkbuf(fmt.Sprintf("d%d", l), depth)
-		}
-		mkbuf(fmt.Sprintf("d%d", L), 2) // duplicated: same-cycle read+write
-		for l := 1; l <= L; l++ {
-			mkbuf(fmt.Sprintf("delta%d", l), 2)
-		}
-	} else {
-		for l := 1; l < L; l++ {
-			depth := 2
-			if !cfg.Pipelined {
-				depth = 1
-			}
-			mkbuf(fmt.Sprintf("d%d", l), depth)
-		}
-	}
-
-	// Bucket events by cycle.
-	byCycle := map[int][]event{}
-	last := 0
-	for _, e := range events {
-		byCycle[e.cycle] = append(byCycle[e.cycle], e)
-		if e.cycle > last {
-			last = e.cycle
-		}
-	}
-
-	maxUnitUse := 0
-	allUnits := map[string]struct{}{}
-	busy := 0
-	occSum := map[string]int{}
-	for c := 1; c <= last; c++ {
-		evs := byCycle[c]
-		// Consumes happen before writes within a cycle: the reader drains
-		// the slot the writer may immediately reuse (Section 3.3).
-		units := map[string]int{}
-		for _, e := range evs {
-			units[e.unit]++
-			allUnits[e.unit] = struct{}{}
-			for _, r := range e.consume {
-				buffers[r.buf].Consume(r.image)
+	sched := Schedule(cfg)
+	bufs := NewBuffers[struct{}](cfg)
+	lastUse := make([]int, 3*cfg.L+1) // cycle of each unit's latest use, 0 before its first
+	units, busy := 0, 0
+	occSum := make([]int, len(bufs.all))
+	for i, ops := range sched {
+		c := i + 1
+		for _, op := range ops {
+			bufs.Read(op)
+			us, n := op.Units(cfg.L)
+			for _, u := range us[:n] {
+				if lastUse[u] == c {
+					panic(fmt.Sprintf("pipeline: unit %s double-booked at cycle %d", UnitNames(cfg.L)[u], c))
+				}
+				if lastUse[u] == 0 {
+					units++
+				}
+				lastUse[u] = c
+				busy++
 			}
 		}
-		for _, e := range evs {
-			for _, w := range e.write {
-				buffers[w.buf].Write(w.image)
-			}
-		}
-		busy += len(evs)
-		for u, n := range units {
-			if n > maxUnitUse {
-				maxUnitUse = n
-			}
-			if n > 1 {
-				panic(fmt.Sprintf("pipeline: unit %s double-booked at cycle %d (%d uses)", u, c, n))
+		// Writes follow every read of the cycle, as Buffers.Read requires.
+		for _, op := range ops {
+			if out := bufs.Out(op); out != nil {
+				out.Write(op.Image, struct{}{})
 			}
 		}
 		// End-of-cycle occupancy sample for the mean-occupancy gauges.
-		for name, b := range buffers {
-			occSum[name] += b.Occupancy()
+		for j, b := range bufs.all {
+			occSum[j] += b.Occupancy()
 		}
 	}
 
 	res := Result{
-		Cycles:             last,
+		Cycles:             len(sched),
 		BufferDepth:        map[string]int{},
 		PeakOccupancy:      map[string]int{},
 		MeanOccupancy:      map[string]float64{},
-		MaxUnitUsePerCycle: maxUnitUse,
-		Units:              len(allUnits),
+		MaxUnitUsePerCycle: min(busy, 1), // a second use in one cycle panics above
+		Units:              units,
 		UnitBusyCycles:     busy,
 	}
-	for name, b := range buffers {
-		res.BufferDepth[name] = b.Depth()
-		res.PeakOccupancy[name] = b.MaxOccupancy
-		if last > 0 {
-			res.MeanOccupancy[name] = float64(occSum[name]) / float64(last)
-		}
+	for j, b := range bufs.all {
+		res.BufferDepth[b.name] = b.Depth()
+		res.PeakOccupancy[b.name] = b.MaxOccupancy
+		res.MeanOccupancy[b.name] = float64(occSum[j]) / float64(len(sched))
 	}
 	return res
-}
-
-// buildSchedule expands the Figure 6 (pipelined) or Figure 7a (sequential)
-// schedule into per-image events.
-//
-// Per-image offsets within the training flow (entry cycle e, layers 1..L):
-//
-//	forward layer l:   e + l − 1        (writes d_l)
-//	error δ_L:         e + L            (reads d_L, writes δ_L)
-//	error δ_l:         e + 2L − l       (reads δ_{l+1}, writes δ_l), l < L
-//	derivative ∂W_l:   e + 2L − l + 1   (reads d_{l−1} and δ_l)
-//
-// so an image occupies cycles e .. e+2L, i.e. 2L+1 cycles, matching
-// Figure 3's T1..T7 for L = 3.
-func buildSchedule(cfg Config) []event {
-	var events []event
-	L := cfg.L
-
-	entryCycle := func(g int) int {
-		if cfg.Training {
-			if cfg.Pipelined {
-				b, i := g/cfg.B, g%cfg.B
-				return b*(2*L+cfg.B+1) + i + 1
-			}
-			return g*(2*L+1) + g/cfg.B + 1
-		}
-		if cfg.Pipelined {
-			return g + 1
-		}
-		return g*L + 1
-	}
-
-	for g := 0; g < cfg.N; g++ {
-		e := entryCycle(g)
-		// Forward pass.
-		for l := 1; l <= L; l++ {
-			ev := event{cycle: e + l - 1, unit: fmt.Sprintf("A%d", l)}
-			if l > 1 {
-				// Reads d_{l-1}; in testing this is the final consumption,
-				// in training the derivative unit consumes it later.
-				if !cfg.Training {
-					ev.consume = append(ev.consume, bufRef{fmt.Sprintf("d%d", l-1), g})
-				}
-			}
-			if l < L || cfg.Training {
-				ev.write = append(ev.write, bufRef{fmt.Sprintf("d%d", l), g})
-			}
-			events = append(events, ev)
-		}
-		if !cfg.Training {
-			continue
-		}
-		// Error for the output layer: δ_L = f'(u_L) ∘ (y − t) — consumes d_L.
-		events = append(events, event{
-			cycle:   e + L,
-			unit:    "ErrL",
-			consume: []bufRef{{fmt.Sprintf("d%d", L), g}},
-			write:   []bufRef{{fmt.Sprintf("delta%d", L), g}},
-		})
-		// Errors for inner layers: δ_l from δ_{l+1} via (W^{l+1})*.
-		for l := L - 1; l >= 1; l-- {
-			events = append(events, event{
-				cycle: e + 2*L - l,
-				unit:  fmt.Sprintf("A%dE", l+1),
-				write: []bufRef{{fmt.Sprintf("delta%d", l), g}},
-			})
-		}
-		// Partial derivatives: ∂W_l from d_{l−1} and δ_l, one cycle after
-		// δ_l is available; this is the final consumer of both.
-		for l := L; l >= 1; l-- {
-			ev := event{
-				cycle:   e + 2*L - l + 1,
-				unit:    fmt.Sprintf("A%dD", l),
-				consume: []bufRef{{fmt.Sprintf("delta%d", l), g}},
-			}
-			if l > 1 {
-				ev.consume = append(ev.consume, bufRef{fmt.Sprintf("d%d", l-1), g})
-			}
-			events = append(events, ev)
-		}
-		// The weight-update cycle at the end of each batch.
-		if (g+1)%cfg.B == 0 {
-			events = append(events, event{cycle: e + 2*L + 1, unit: "Update"})
-		}
-	}
-	return events
 }

@@ -55,9 +55,6 @@ func (x *Crossbar) ProgramCodes(codes []uint8) {
 	x.stats.CellWrites += len(codes)
 }
 
-// Code returns the programmed code of one cell.
-func (x *Crossbar) Code(row, col int) uint8 { return x.cells[row*x.Cols+col].Code() }
-
 // MatVecSpike performs the spike-domain matrix–vector multiplication: the
 // input codes (one per row, inBits wide) are encoded as weighted spike
 // trains, driven through the word lines, and each column's current is

@@ -105,9 +105,6 @@ func (ra *ResolutionArray) Program(w *tensor.Tensor) {
 	}
 }
 
-// Scale returns the analog magnitude corresponding to the all-ones code.
-func (ra *ResolutionArray) Scale() float64 { return ra.scale }
-
 // MatVecCodes computes the signed integer result Σ_i code_i·wcode_ij for
 // every column j, where wcode is the signed 16-bit weight code. Exact for
 // ideal devices: the four group counts are shift-added per Figure 14(a).

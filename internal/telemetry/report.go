@@ -104,10 +104,11 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	for name, sp := range r.spans {
+		n, total := sp.snapshot()
 		s.Spans[name] = SpanSnapshot{
-			Count:        sp.Count(),
-			TotalSeconds: sp.Total().Seconds(),
-			MeanSeconds:  sp.Mean().Seconds(),
+			Count:        n,
+			TotalSeconds: total.Seconds(),
+			MeanSeconds:  mean(n, total).Seconds(),
 		}
 	}
 	return s

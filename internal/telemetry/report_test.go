@@ -295,3 +295,37 @@ func TestSnapshotHistogramNotTorn(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotSpanNotTorn snapshots a span while two goroutines add 1 s
+// timings to it. Every snapshot must be one consistent state: its total in
+// seconds equals its count, so a /metrics _sum and _count agree.
+func TestSnapshotSpanNotTorn(t *testing.T) {
+	reg := NewRegistry()
+	sp := reg.Span("step")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					sp.Add(time.Second)
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2000; i++ {
+		s := reg.Snapshot().Spans["step"]
+		if s.TotalSeconds != float64(s.Count) {
+			t.Fatalf("snapshot %d is torn: total %g s, count %d", i, s.TotalSeconds, s.Count)
+		}
+	}
+}

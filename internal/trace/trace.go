@@ -1,14 +1,19 @@
 // Package trace renders the PipeLayer training schedule as an ASCII Gantt
-// chart — the paper's Figure 6 visualization, generated from the same
-// per-image cycle offsets the pipeline simulator validates. Each row is one
-// hardware unit (forward arrays A_l, the output-error unit ErrL, error
-// arrays A_lE, derivative arrays A_lD and the update unit); each column is
-// one logical cycle; the glyph is the image index occupying the unit.
+// chart, the paper's Figure 6 visualization. It only draws: the ops and the
+// hardware units they occupy come from internal/pipeline, whose schedule the
+// cycle simulator and the functional pipelined executor play too. Each row
+// is one hardware unit (forward arrays A_l, the output-error unit ErrL,
+// error arrays A_lE, derivative arrays A_lD and the update unit); each
+// column is one logical cycle; the glyph is the image index occupying the
+// unit.
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+
+	"pipelayer/internal/pipeline"
 )
 
 // Gantt renders the pipelined training schedule of L weighted layers for
@@ -20,56 +25,25 @@ func Gantt(L, B, cycles int) (string, error) {
 	if L <= 0 || B <= 0 || cycles <= 0 {
 		return "", fmt.Errorf("trace: L, B and cycles must be positive, got L=%d B=%d cycles=%d", L, B, cycles)
 	}
-	type unit struct {
-		name string
-		row  []byte
+	// Images enter at most one per cycle, so the first `cycles` images,
+	// rounded up to whole batches, fill the window, and the last of them
+	// runs past it.
+	n := (cycles + B - 1) / B * B
+	sched := pipeline.Schedule(pipeline.Config{L: L, B: B, N: n, Pipelined: true, Training: true})
+	names := pipeline.UnitNames(L)
+	rows := make([][]byte, len(names))
+	for i := range rows {
+		rows[i] = bytes.Repeat([]byte{'.'}, cycles)
 	}
-	var units []unit
-	mk := func(name string) *unit {
-		units = append(units, unit{name: name, row: bytes(cycles)})
-		return &units[len(units)-1]
-	}
-	forward := make([]*unit, L+1)
-	for l := 1; l <= L; l++ {
-		forward[l] = mk(fmt.Sprintf("A%d", l))
-	}
-	errL := mk("ErrL")
-	errU := make([]*unit, L+1)
-	for l := L; l >= 2; l-- {
-		errU[l] = mk(fmt.Sprintf("A%dE", l))
-	}
-	derivU := make([]*unit, L+1)
-	for l := L; l >= 1; l-- {
-		derivU[l] = mk(fmt.Sprintf("A%dD", l))
-	}
-	update := mk("Upd")
-
-	put := func(u *unit, cycle, img int) {
-		if cycle >= 1 && cycle <= cycles {
-			u.row[cycle-1] = byte('0' + img%10)
-		}
-	}
-
-	period := 2*L + B + 1
-	for img := 0; ; img++ {
-		b, i := img/B, img%B
-		e := b*period + i + 1
-		if e > cycles {
-			break
-		}
-		for l := 1; l <= L; l++ {
-			put(forward[l], e+l-1, img)
-		}
-		put(errL, e+L, img)
-		for l := L - 1; l >= 1; l-- {
-			put(errU[l+1], e+2*L-l, img)
-		}
-		for l := L; l >= 1; l-- {
-			put(derivU[l], e+2*L-l+1, img)
-		}
-		if (img+1)%B == 0 {
-			if c := e + 2*L + 1; c >= 1 && c <= cycles {
-				update.row[c-1] = '#'
+	for c, ops := range sched[:cycles] {
+		for _, op := range ops {
+			glyph := byte('0' + op.Image%10)
+			if op.Kind == pipeline.Update {
+				glyph = '#'
+			}
+			units, k := op.Units(L)
+			for _, u := range units[:k] {
+				rows[u][c] = glyph
 			}
 		}
 	}
@@ -80,16 +54,8 @@ func Gantt(L, B, cycles int) (string, error) {
 		sb.WriteByte(byte('0' + c%10))
 	}
 	sb.WriteByte('\n')
-	for _, u := range units {
-		fmt.Fprintf(&sb, "%11s %s\n", u.name, string(u.row))
+	for i, name := range names {
+		fmt.Fprintf(&sb, "%11s %s\n", name, rows[i])
 	}
 	return sb.String(), nil
-}
-
-func bytes(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '.'
-	}
-	return b
 }

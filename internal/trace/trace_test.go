@@ -103,3 +103,42 @@ func TestGanttSecondBatchAfterDrain(t *testing.T) {
 	}
 	t.Fatal("A1 row not found")
 }
+
+// TestGanttGolden pins whole charts byte for byte: the paper's Figure 6
+// window (L=3, B=4) and an L=2, B=2 run that crosses a batch boundary.
+func TestGanttGolden(t *testing.T) {
+	for _, tc := range []struct {
+		L, B, cycles int
+		want         string
+	}{
+		{3, 4, 12, `      cycle 123456789012
+         A1 0123.......4
+         A2 .0123.......
+         A3 ..0123......
+       ErrL ...0123.....
+        A3E ....0123....
+        A2E .....0123...
+        A3D ....0123....
+        A2D .....0123...
+        A1D ......0123..
+        Upd ..........#.
+`},
+		{2, 2, 16, `      cycle 1234567890123456
+         A1 01.....23.....45
+         A2 .01.....23.....4
+       ErrL ..01.....23.....
+        A2E ...01.....23....
+        A2D ...01.....23....
+        A1D ....01.....23...
+        Upd ......#......#..
+`},
+	} {
+		got, err := Gantt(tc.L, tc.B, tc.cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("Gantt(%d, %d, %d):\n%s\nwant\n%s", tc.L, tc.B, tc.cycles, got, tc.want)
+		}
+	}
+}
